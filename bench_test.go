@@ -1,8 +1,9 @@
 package repro
 
 import (
+	"bytes"
 	"encoding/json"
-	"math"
+	"flag"
 	"os"
 	"testing"
 
@@ -315,37 +316,34 @@ func BenchmarkAblationAdaptiveInterval(b *testing.B) {
 	b.Run("adaptive/lat280", func(b *testing.B) { run(b, true, 280) })
 }
 
+// update makes TestEmitBenchJSON rewrite BENCH_jpp.json instead of
+// comparing against it.
+var update = flag.Bool("update", false, "rewrite BENCH_jpp.json from a fresh sweep")
+
 // benchDoc is the BENCH_jpp.json layout: the per-run stats snapshots
 // plus a speedup summary keyed bench -> scheme.  The snapshots field
 // name is part of the schema contract — stats.ParseSnapshots (and so
-// `jppreport -stats BENCH_jpp.json`) unwraps it directly.
-//
-// sim_mips records simulator throughput (millions of simulated
-// instructions per host wall-clock second) per bench -> scheme, with
-// sim_mips_geomean summarizing the suite.  The CI benchmark smoke step
-// asserts the geomean is present and positive after regeneration, which
-// catches gross simulator-speed regressions without a dedicated
-// benchmarking box.  Batch runs share host cores, so these understate
-// serial throughput; BenchmarkCore is the headline measurement.
+// `jppreport -stats BENCH_jpp.json`) unwraps it directly.  Every field
+// is a simulated result, so the document is byte-stable; simulator
+// throughput is measured by the jppbench benchmark under bench/.
 type benchDoc struct {
-	Version        int                           `json:"version"`
-	Size           string                        `json:"size"`
-	Snapshots      []stats.Snapshot              `json:"snapshots"`
-	SpeedupPct     map[string]map[string]float64 `json:"speedup_pct"`
-	SimMIPS        map[string]map[string]float64 `json:"sim_mips"`
-	SimMIPSGeomean float64                       `json:"sim_mips_geomean"`
+	Version    int                           `json:"version"`
+	Size       string                        `json:"size"`
+	Snapshots  []stats.Snapshot              `json:"snapshots"`
+	SpeedupPct map[string]map[string]float64 `json:"speedup_pct"`
 }
 
-// TestEmitBenchJSON regenerates BENCH_jpp.json at the repo root: every
-// scheme over a benchmark set, with each run's validated stats snapshot
-// and the speedup-over-baseline summary.  Short mode covers the whole
-// suite at the test size (the CI smoke run); the default run uses the
-// small inputs on the flagship benchmarks, where the paper's effects
-// are visible, and additionally sweeps the large inputs under the
-// baseline and cooperative schemes — the paper-scale comparison the
-// event-driven core makes affordable (each large run is ~1s).
-// Snapshots are self-describing (bench/scheme/size), so the mixed-size
-// document stays consumable through stats.ParseSnapshots.
+// TestEmitBenchJSON regenerates BENCH_jpp.json in memory and checks it
+// byte for byte against the committed file: every scheme over a
+// benchmark set, with each run's validated stats snapshot and the
+// speedup-over-baseline summary.  The default run uses the small inputs
+// on the flagship benchmarks, where the paper's effects are visible,
+// and additionally sweeps the large inputs under the baseline and
+// cooperative schemes.  Snapshots are self-describing
+// (bench/scheme/size), so the mixed-size document stays consumable
+// through stats.ParseSnapshots.  With -update the test rewrites the
+// file instead.  Short mode covers the whole suite at the test size,
+// validates the document in memory and writes nothing.
 func TestEmitBenchJSON(t *testing.T) {
 	size := benchSize
 	benches := []string{"health", "mst", "perimeter", "treeadd", "em3d"}
@@ -393,40 +391,17 @@ func TestEmitBenchJSON(t *testing.T) {
 		Version:    stats.SchemaVersion,
 		Size:       size.String(),
 		SpeedupPct: make(map[string]map[string]float64),
-		SimMIPS:    make(map[string]map[string]float64),
 	}
 	baseline := make(map[string]uint64)
-	logMIPSSum, mipsRuns := 0.0, 0
 	for i, it := range items {
 		if it.Err != nil {
 			t.Fatalf("%s/%v: %v", specs[i].Bench, specs[i].Params.Scheme, it.Err)
 		}
 		snap := it.Result.Stats
-		if err := snap.Validate(); err != nil {
-			t.Fatalf("%s/%v: %v", specs[i].Bench, specs[i].Params.Scheme, err)
-		}
 		doc.Snapshots = append(doc.Snapshots, snap)
-		key := docKey(specs[i])
 		if specs[i].Params.Scheme == core.SchemeNone {
-			baseline[key] = snap.Cycles
+			baseline[docKey(specs[i])] = snap.Cycles
 		}
-		if sec := it.Elapsed.Seconds(); sec > 0 && snap.Insts > 0 {
-			mips := float64(snap.Insts) / sec / 1e6
-			m := doc.SimMIPS[key]
-			if m == nil {
-				m = make(map[string]float64)
-				doc.SimMIPS[key] = m
-			}
-			m[specs[i].Params.Scheme.String()] = mips
-			logMIPSSum += math.Log(mips)
-			mipsRuns++
-		}
-	}
-	if mipsRuns > 0 {
-		doc.SimMIPSGeomean = math.Exp(logMIPSSum / float64(mipsRuns))
-	}
-	if doc.SimMIPSGeomean <= 0 {
-		t.Fatalf("sim_mips_geomean = %v, want > 0", doc.SimMIPSGeomean)
 	}
 	for i, it := range items {
 		spec := specs[i]
@@ -447,27 +422,51 @@ func TestEmitBenchJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_jpp.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	data = append(data, '\n')
 
-	// Round-trip: the emitted file must be consumable through the same
-	// entry point jppreport uses, with every snapshot still valid.
-	raw, err := os.ReadFile("BENCH_jpp.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps, err := stats.ParseSnapshots(raw)
+	// The document must be consumable through the same entry point
+	// jppreport uses, with every snapshot valid.
+	snaps, err := stats.ParseSnapshots(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(snaps) != len(specs) {
-		t.Fatalf("BENCH_jpp.json holds %d snapshots, want %d", len(snaps), len(specs))
+		t.Fatalf("document holds %d snapshots, want %d", len(snaps), len(specs))
 	}
 	for i, s := range snaps {
 		if err := s.Validate(); err != nil {
-			t.Fatalf("snapshot %d: %v", i, err)
+			t.Fatalf("snapshot %d (%s/%s): %v", i, s.Bench, s.Scheme, err)
 		}
 	}
-	t.Logf("wrote BENCH_jpp.json: %d snapshots (%s size), %d benches", len(snaps), doc.Size, len(benches))
+
+	switch {
+	case testing.Short():
+		t.Logf("validated %d snapshots (%s size), %d benches; nothing written", len(snaps), doc.Size, len(benches))
+	case *update:
+		if err := os.WriteFile("BENCH_jpp.json", data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote BENCH_jpp.json: %d snapshots (%s size), %d benches", len(snaps), doc.Size, len(benches))
+	default:
+		committed, err := os.ReadFile("BENCH_jpp.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, committed) {
+			t.Fatalf("BENCH_jpp.json differs from a fresh sweep at line %d; "+
+				"if the change to simulated results is intended, rerun with -update",
+				firstDiffLine(data, committed))
+		}
+	}
+}
+
+// firstDiffLine returns the 1-based line where a and b first differ.
+func firstDiffLine(a, b []byte) int {
+	line := 1
+	for i := 0; i < len(a) && i < len(b) && a[i] == b[i]; i++ {
+		if a[i] == '\n' {
+			line++
+		}
+	}
+	return line
 }

@@ -4,7 +4,6 @@
 //
 //	jppreport                 # everything, full-size inputs
 //	jppreport -exp fig5       # one artifact
-//	jppreport -exp mips       # simulator-throughput table from BENCH_jpp.json
 //	jppreport -size small     # faster, smaller inputs
 //	jppreport -bench health   # restrict to one benchmark
 //	jppreport -j 4            # cap concurrent simulations (0 = all cores)
@@ -44,7 +43,6 @@ func run(args []string, out io.Writer) error {
 		bench     = fs.String("bench", "", "restrict to a comma-separated benchmark list")
 		jobs      = fs.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
 		statsList = fs.String("stats", "", "render the attribution table from comma-separated stats-JSON files (no simulations)")
-		benchJSON = fs.String("bench-json", "", "benchmark document for the mips experiment (default BENCH_jpp.json)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -54,7 +52,7 @@ func run(args []string, out io.Writer) error {
 		return renderStats(strings.Split(*statsList, ","), out)
 	}
 
-	cfg := repro.ExpConfig{Workers: *jobs, BenchJSON: *benchJSON}
+	cfg := repro.ExpConfig{Workers: *jobs}
 	switch *size {
 	case "test":
 		cfg.Size = olden.SizeTest
@@ -72,26 +70,6 @@ func run(args []string, out io.Writer) error {
 	ids := repro.ExperimentIDs()
 	if *exp != "" {
 		ids = strings.Split(*exp, ",")
-	} else {
-		// The default sweep only includes the mips table when its input
-		// document exists — a fresh checkout run outside the repo root
-		// (or before the first bench regeneration) should still render
-		// every simulation-backed artifact.  Asking for it explicitly
-		// still errors loudly.
-		path := cfg.BenchJSON
-		if path == "" {
-			path = "BENCH_jpp.json"
-		}
-		if _, err := os.Stat(path); err != nil {
-			kept := ids[:0]
-			for _, id := range ids {
-				if id != "mips" {
-					kept = append(kept, id)
-				}
-			}
-			ids = kept
-			fmt.Fprintf(out, "[mips skipped: %s not found]\n\n", path)
-		}
 	}
 	for _, id := range ids {
 		start := time.Now()

@@ -15,13 +15,8 @@ import (
 // unit-test input size and asserts a non-empty report is printed for
 // every experiment ID.
 func TestRunAllExperimentsTestSize(t *testing.T) {
-	doc := `{"sim_mips": {"mst": {"none": 4.0}}, "sim_mips_geomean": 4.0}`
-	benchPath := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(benchPath, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	var out strings.Builder
-	if err := run([]string{"-size", "test", "-bench-json", benchPath}, &out); err != nil {
+	if err := run([]string{"-size", "test"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()

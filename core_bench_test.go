@@ -20,10 +20,8 @@ import (
 //	sim_mips     simulated (committed) instructions per host second, /1e6
 //	simcycles/s  simulated cycles per host second
 //
-// The geometric mean of sim_mips across kernels is the simulator's
-// headline throughput number (see README "Simulator performance"); the
-// CI smoke step asserts it stays present and positive in
-// BENCH_jpp.json.
+// These are quick in-process figures; throughput claims are measured
+// with the jppbench benchmark under bench/ (see bench/README.md).
 func BenchmarkCore(b *testing.B) {
 	for _, bm := range harness.AllBenches() {
 		b.Run(bm.Name, func(b *testing.B) {

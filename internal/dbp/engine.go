@@ -249,6 +249,8 @@ func (e *Engine) EnqueuePrefetch(addr, pc uint32, depth int, origin Origin) {
 		}
 		return
 	}
+	// During Tick this scan also sees arrivals already processed in the
+	// same Tick (see the in-Tick dedup rule there).
 	for i := range e.pending {
 		a := &e.pending[i]
 		if a.jumpWord || a.addr&mask != line {
@@ -347,6 +349,15 @@ func (e *Engine) Tick(now uint64, freePorts int) int {
 	// by position keeps the in-place compaction safe while the slice
 	// grows, and freshly appended entries (done = now+1) are kept for
 	// the next cycle.
+	//
+	// In-Tick dedup rule: until the loop ends, EnqueuePrefetch's pending
+	// scan sees the whole slice, so an arrival processed earlier in this
+	// Tick still dedups a request for its line — the request becomes a
+	// continuation with the processed arrival's (already past) done time,
+	// handled later in this same Tick if quota remains, rather than a
+	// PRQ request.  The processed arrival stays visible until a later
+	// kept entry is compacted into its slot.  The statistics and goldens
+	// depend on this rule; hiding processed arrivals changes them.
 	n := 0
 	kmin := ^uint64(0)
 	for i := 0; i < len(e.pending); i++ {

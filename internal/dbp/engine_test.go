@@ -214,3 +214,41 @@ func TestGarbageValuesNotChased(t *testing.T) {
 		t.Fatal("chased a non-heap value")
 	}
 }
+
+// TestInTickDedupSeesProcessedArrivals pins Tick's in-Tick dedup rule:
+// an arrival processed earlier in the same Tick still absorbs a request
+// for its line as a continuation, until a later kept entry is compacted
+// into its slot; after that the request goes to the PRQ.
+func TestInTickDedupSeesProcessedArrivals(t *testing.T) {
+	const (
+		pcA = 0x400300 // no predictor edges: processing A chases nothing
+		pcB = 0x400304 // B's fetched word points at X; B -> C at offset 4
+		pcC = 0x400308
+	)
+	run := func(keepBetween bool) Stats {
+		r := newRig(t, 64)
+		x := r.nodes[32]
+		y := r.nodes[0] + 8
+		r.eng.Image().WriteWord(y, x)
+		r.eng.DP().Insert(pcB, pcC, 4)
+
+		r.eng.addPending(arrival{done: 10, addr: x, pc: pcA})
+		if keepBetween {
+			// Not due at cycle 10: kept, and compacted into A's slot.
+			r.eng.addPending(arrival{done: 50, addr: r.nodes[16], pc: pcA})
+		}
+		r.eng.addPending(arrival{done: 10, addr: y, pc: pcB})
+		r.eng.Tick(10, 0) // no free ports: a PRQ request stays queued
+		return r.eng.Stats()
+	}
+
+	// A's slot untouched when B chases to X+4: the request dedups
+	// against the already-processed A.
+	if s := run(false); s.DedupDrops != 1 || s.Requested != 0 {
+		t.Fatalf("A visible: dedup %d, requested %d; want 1, 0", s.DedupDrops, s.Requested)
+	}
+	// The kept entry overwrote A's slot: X+4 becomes a PRQ request.
+	if s := run(true); s.DedupDrops != 0 || s.Requested != 1 {
+		t.Fatalf("A overwritten: dedup %d, requested %d; want 0, 1", s.DedupDrops, s.Requested)
+	}
+}

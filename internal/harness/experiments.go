@@ -1,10 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
-	"os"
 	"sort"
 	"strings"
 
@@ -15,7 +12,6 @@ import (
 	"repro/internal/dbp"
 	"repro/internal/olden"
 	"repro/internal/prefetch"
-	"repro/internal/stats"
 )
 
 // ExpConfig parameterizes experiment reproduction.
@@ -29,10 +25,6 @@ type ExpConfig struct {
 	// worker count: the drivers declare their spec sets up front and
 	// assemble output from ordered batch results.
 	Workers int
-	// BenchJSON locates the committed benchmark document consumed by
-	// the mips experiment (default "BENCH_jpp.json" in the working
-	// directory).  The other experiments ignore it.
-	BenchJSON string
 }
 
 func (c ExpConfig) benches() []*olden.Benchmark {
@@ -80,7 +72,6 @@ func Experiments() []struct {
 		{"fig7", Fig7, "tolerating longer memory latencies (health)"},
 		{"costs", Costs, "direct and implicit costs of JPP"},
 		{"shootout", Shootout, "cross-prefetcher shootout (every registered engine)"},
-		{"mips", Mips, "simulator throughput: per-kernel sim-MIPS vs the growth seed"},
 	}
 }
 
@@ -607,136 +598,6 @@ func Shootout(cfg ExpConfig) (Report, error) {
 		[]string{"bench", "engine", "cycles", "speedup", "issued", "cov", "acc", "timely"},
 		rows)
 	return Report{ID: "shootout", Title: "Prefetcher shootout", Text: text}, nil
-}
-
-// --- Simulator throughput ---------------------------------------------
-
-// seedSimMIPS is the per-kernel simulator throughput of the growth
-// seed, measured with the BenchmarkCore protocol (small inputs,
-// cooperative JPP, best of 3 interleaved runs on the benchmarking box)
-// before any of the simulator-speed work landed.  It anchors the
-// "vs seed" column of the mips experiment; the numbers match the
-// "before" column of README.md's simulator-performance table.
-var seedSimMIPS = map[string]float64{
-	"bh": 3.16, "bisort": 4.26, "btree": 3.30, "em3d": 2.56,
-	"health": 2.34, "mst": 1.69, "perimeter": 3.33, "power": 1.25,
-	"spmv": 3.85, "treeadd": 2.08, "tsp": 3.89, "voronoi": 5.06,
-}
-
-// Mips renders the simulator-throughput table from the committed
-// benchmark document (BENCH_jpp.json): per kernel, the simulated-MIPS
-// of every scheme's run, the kernel's geomean across schemes, and —
-// where the growth seed was benchmarked on that kernel — the multiple
-// over the seed's throughput.  The document's runs execute in a batch
-// that shares host cores, so absolute numbers understate the serial
-// BenchmarkCore figures; the vs-seed multiples are therefore a floor,
-// not a like-for-like comparison.
-func Mips(cfg ExpConfig) (Report, error) {
-	path := cfg.BenchJSON
-	if path == "" {
-		path = "BENCH_jpp.json"
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Report{}, fmt.Errorf("mips: %w", err)
-	}
-	var doc struct {
-		Size           string                        `json:"size"`
-		Snapshots      []stats.Snapshot              `json:"snapshots"`
-		SimMIPS        map[string]map[string]float64 `json:"sim_mips"`
-		SimMIPSGeomean float64                       `json:"sim_mips_geomean"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return Report{}, fmt.Errorf("mips: %s: %w", path, err)
-	}
-	if len(doc.SimMIPS) == 0 {
-		return Report{}, fmt.Errorf("mips: %s has no sim_mips section", path)
-	}
-
-	// Per-kernel replay hit rate, averaged over the runs that carried a
-	// replay section, keyed like the sim_mips maps (bench, or bench@size
-	// for the off-primary-size sweeps).
-	hitSum := make(map[string]float64)
-	hitN := make(map[string]int)
-	for _, s := range doc.Snapshots {
-		if s.Replay == nil {
-			continue
-		}
-		key := s.Bench
-		if s.Size != doc.Size {
-			key += "@" + s.Size
-		}
-		hitSum[key] += s.Replay.HitRate
-		hitN[key]++
-	}
-
-	schemes := core.Schemes()
-	header := []string{"kernel"}
-	for _, s := range schemes {
-		header = append(header, s.String())
-	}
-	header = append(header, "geomean", "vs-seed", "replay-hit")
-
-	var keys []string
-	for k := range doc.SimMIPS {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	var rows [][]string
-	logSum, logN := 0.0, 0
-	for _, k := range keys {
-		row := []string{k}
-		perScheme := doc.SimMIPS[k]
-		kLogSum, kN := 0.0, 0
-		for _, s := range schemes {
-			v, ok := perScheme[s.String()]
-			if !ok {
-				row = append(row, "-")
-				continue
-			}
-			row = append(row, fmt.Sprintf("%.2f", v))
-			kLogSum += math.Log(v)
-			kN++
-		}
-		if kN == 0 {
-			continue
-		}
-		kGeo := math.Exp(kLogSum / float64(kN))
-		row = append(row, fmt.Sprintf("%.2f", kGeo))
-		// The large-input sweep keys are bench@size; the seed table is
-		// keyed by bare kernel name, so those rows get no multiple.
-		if seed, ok := seedSimMIPS[k]; ok {
-			row = append(row, fmt.Sprintf("%.2fx", kGeo/seed))
-		} else {
-			row = append(row, "-")
-		}
-		if n := hitN[k]; n > 0 {
-			row = append(row, fmt.Sprintf("%.2f", hitSum[k]/float64(n)))
-		} else {
-			row = append(row, "-")
-		}
-		rows = append(rows, row)
-		logSum += math.Log(kGeo)
-		logN++
-	}
-	if logN == 0 {
-		return Report{}, fmt.Errorf("mips: %s sim_mips section is empty", path)
-	}
-
-	seedLogSum := 0.0
-	for _, v := range seedSimMIPS {
-		seedLogSum += math.Log(v)
-	}
-	seedGeo := math.Exp(seedLogSum / float64(len(seedSimMIPS)))
-
-	text := renderTable("Simulator throughput: simulated MIPS per kernel (from "+path+")",
-		header, rows)
-	text += fmt.Sprintf("\nsuite geomean %.2f sim-MIPS (document: %.2f); seed geomean %.2f => %.2fx over seed\n"+
-		"(document runs share host cores; serial BenchmarkCore runs faster)\n",
-		math.Exp(logSum/float64(logN)), doc.SimMIPSGeomean, seedGeo,
-		math.Exp(logSum/float64(logN))/seedGeo)
-	return Report{ID: "mips", Title: "Simulator throughput", Text: text}, nil
 }
 
 func containsStr(xs []string, s string) bool {

@@ -77,8 +77,7 @@ func TestDecomposeInvariants(t *testing.T) {
 }
 
 func TestExperimentsRunAtTestSize(t *testing.T) {
-	cfg := ExpConfig{Size: olden.SizeTest, Benches: []string{"health", "treeadd"},
-		BenchJSON: testBenchDoc(t)}
+	cfg := ExpConfig{Size: olden.SizeTest, Benches: []string{"health", "treeadd"}}
 	for _, e := range Experiments() {
 		rep, err := e.Fn(cfg)
 		if err != nil {

@@ -293,10 +293,9 @@ func TestParallelSerialIdenticalReports(t *testing.T) {
 	if parallel < 2 {
 		parallel = 4
 	}
-	benchDoc := testBenchDoc(t)
 	for _, e := range Experiments() {
-		serialCfg := ExpConfig{Size: olden.SizeTest, Workers: 1, BenchJSON: benchDoc}
-		parallelCfg := ExpConfig{Size: olden.SizeTest, Workers: parallel, BenchJSON: benchDoc}
+		serialCfg := ExpConfig{Size: olden.SizeTest, Workers: 1}
+		parallelCfg := ExpConfig{Size: olden.SizeTest, Workers: parallel}
 		serial, err := e.Fn(serialCfg)
 		if err != nil {
 			t.Fatalf("%s serial: %v", e.ID, err)

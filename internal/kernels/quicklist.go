@@ -79,7 +79,7 @@ func quicklistKernel(p Params) func(*ir.Asm) {
 
 		// order mirrors the list so churn knows each node's position;
 		// every link and skip mutation is still emitted.
-		var order []ir.Val
+		var order chunkSeq
 
 		// fixSkips re-points the skip fields of the dist nodes ending
 		// at position pos (a real QuickList carries this lag window in
@@ -89,10 +89,10 @@ func quicklistKernel(p Params) func(*ir.Asm) {
 		fixSkips := func(pos int) {
 			for j := pos; j >= pos-dist && j >= 0; j-- {
 				tgt := ir.Imm(0)
-				if j+dist < len(order) {
-					tgt = order[j+dist]
+				if j+dist < order.Len() {
+					tgt = order.At(j + dist)
 				}
-				a.Store(qlFix, order[j], qlSkip, tgt)
+				a.Store(qlFix, order.At(j), qlSkip, tgt)
 			}
 		}
 
@@ -102,11 +102,11 @@ func quicklistKernel(p Params) func(*ir.Asm) {
 			n := a.Malloc(12)
 			a.Store(qlBuild, n, qlVal, ir.Imm(r.next()&0xFFFF))
 			if i > 0 {
-				a.Store(qlBuild+1, order[i-1], qlNext, n)
+				a.Store(qlBuild+1, order.At(i-1), qlNext, n)
 			}
-			order = append(order, n)
+			order.Insert(i, n)
 			if i >= dist {
-				a.Store(qlBuild+2, order[i-dist], qlSkip, n)
+				a.Store(qlBuild+2, order.At(i-dist), qlSkip, n)
 			}
 		}
 
@@ -114,7 +114,7 @@ func quicklistKernel(p Params) func(*ir.Asm) {
 		// visit prefetches through the structural skip field (no
 		// creation code, no jump queue).
 		walk := func() {
-			cur := order[0]
+			cur := order.At(0)
 			sum := ir.Imm(0)
 			for !cur.IsNil() {
 				if prefetchOn(p) && idiom != core.IdiomNone {
@@ -133,33 +133,114 @@ func quicklistKernel(p Params) func(*ir.Asm) {
 		insertAt := func(pos int) {
 			n := a.Malloc(12)
 			a.Store(qlChurn, n, qlVal, ir.Imm(r.next()&0xFFFF))
-			prev := order[pos]
+			prev := order.At(pos)
 			nxt := a.Load(qlChurn+1, prev, qlNext, ir.FLDS)
 			a.Store(qlChurn+2, n, qlNext, nxt)
 			a.Store(qlChurn+3, prev, qlNext, n)
-			order = append(order, ir.Val{})
-			copy(order[pos+2:], order[pos+1:])
-			order[pos+1] = n
+			order.Insert(pos+1, n)
 			fixSkips(pos + 1)
 		}
 
 		removeAt := func(pos int) {
-			victim := order[pos]
-			prev := order[pos-1]
+			victim := order.At(pos)
+			prev := order.At(pos - 1)
 			nxt := a.Load(qlChurn+4, victim, qlNext, ir.FLDS)
 			a.Store(qlChurn+5, prev, qlNext, nxt)
 			a.FreeNode(victim)
-			copy(order[pos:], order[pos+1:])
-			order = order[:len(order)-1]
+			order.Remove(pos)
 			fixSkips(pos - 1)
 		}
 
 		for round := 0; round < cfg.rounds; round++ {
 			walk()
 			for c := 0; c < cfg.churn; c++ {
-				insertAt(r.intn(len(order) - 1))
-				removeAt(r.intn(len(order)-2) + 1)
+				insertAt(r.intn(order.Len() - 1))
+				removeAt(r.intn(order.Len()-2) + 1)
 			}
 		}
+	}
+}
+
+// chunkSeq is the positional sequence quicklist's churn indexes into:
+// a list of chunks, each at most 2*seqChunk long, so an insert or
+// remove shifts one chunk and the chunk list instead of the whole
+// sequence.  A cursor remembers the chunk the last call landed in, so
+// the runs of neighbouring positions fixSkips reads cost O(1) each.
+type chunkSeq struct {
+	chunks [][]ir.Val
+	n      int
+	// cur is the cursor's chunk and curStart the position of its first
+	// element.
+	cur, curStart int
+}
+
+// seqChunk is the size a full chunk splits into.
+const seqChunk = 512
+
+// Len returns the number of elements.
+func (s *chunkSeq) Len() int { return s.n }
+
+// locate moves the cursor to the chunk holding position pos and
+// returns pos's offset within it.  pos == Len() lands at the end of the
+// last chunk.
+func (s *chunkSeq) locate(pos int) int {
+	for pos < s.curStart {
+		s.cur--
+		s.curStart -= len(s.chunks[s.cur])
+	}
+	for s.cur < len(s.chunks)-1 && pos >= s.curStart+len(s.chunks[s.cur]) {
+		s.curStart += len(s.chunks[s.cur])
+		s.cur++
+	}
+	return pos - s.curStart
+}
+
+// At returns the element at position pos.
+func (s *chunkSeq) At(pos int) ir.Val {
+	off := s.locate(pos)
+	return s.chunks[s.cur][off]
+}
+
+// Insert places v at position pos (0 <= pos <= Len()), shifting the
+// elements from pos onwards up by one.
+func (s *chunkSeq) Insert(pos int, v ir.Val) {
+	if len(s.chunks) == 0 {
+		s.chunks = append(s.chunks, make([]ir.Val, 0, 2*seqChunk))
+	}
+	off := s.locate(pos)
+	c := s.chunks[s.cur]
+	if len(c) == 2*seqChunk {
+		// Split the full chunk in half; the cursor's chunk keeps its
+		// start, so only pos's side needs choosing.
+		tail := append(make([]ir.Val, 0, 2*seqChunk), c[seqChunk:]...)
+		s.chunks = append(s.chunks, nil)
+		copy(s.chunks[s.cur+2:], s.chunks[s.cur+1:])
+		s.chunks[s.cur] = c[:seqChunk]
+		s.chunks[s.cur+1] = tail
+		if off >= seqChunk {
+			s.cur++
+			s.curStart += seqChunk
+			off -= seqChunk
+		}
+		c = s.chunks[s.cur]
+	}
+	c = append(c, ir.Val{})
+	copy(c[off+1:], c[off:])
+	c[off] = v
+	s.chunks[s.cur] = c
+	s.n++
+}
+
+// Remove deletes the element at position pos, shifting later elements
+// down by one.  An emptied chunk leaves the list unless it is the last.
+func (s *chunkSeq) Remove(pos int) {
+	off := s.locate(pos)
+	c := s.chunks[s.cur]
+	copy(c[off:], c[off+1:])
+	s.chunks[s.cur] = c[:len(c)-1]
+	s.n--
+	if len(c) == 1 && len(s.chunks) > 1 {
+		s.chunks = append(s.chunks[:s.cur], s.chunks[s.cur+1:]...)
+		s.cur, s.curStart = 0, 0
 	}
 }

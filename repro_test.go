@@ -89,7 +89,7 @@ func TestEngineOverride(t *testing.T) {
 
 func TestExperimentIDs(t *testing.T) {
 	ids := ExperimentIDs()
-	want := []string{"table1", "table2", "fig4", "fig5", "fig6", "fig7", "costs", "shootout", "mips"}
+	want := []string{"table1", "table2", "fig4", "fig5", "fig6", "fig7", "costs", "shootout"}
 	if len(ids) != len(want) {
 		t.Fatalf("ids = %v", ids)
 	}
