@@ -255,19 +255,26 @@ func Fig5(cfg ExpConfig) (Report, error) {
 	return Report{ID: "fig5", Title: "Comparing implementations", Text: text}, nil
 }
 
-func fig5Data(cfg ExpConfig) ([]BarGroup, map[string]map[string]Result, error) {
-	benches := cfg.benches()
+// schemeSweep is the spec set of Figures 5 and 6: every benchmark under
+// every scheme, benchmark-major.
+func schemeSweep(benches []*olden.Benchmark, size olden.Size) []Spec {
 	schemes := core.Schemes()
 	specs := make([]Spec, 0, len(benches)*len(schemes))
 	for _, b := range benches {
 		for _, scheme := range schemes {
 			specs = append(specs, Spec{
 				Bench:  b.Name,
-				Params: olden.Params{Scheme: scheme, Size: cfg.Size},
+				Params: olden.Params{Scheme: scheme, Size: size},
 			})
 		}
 	}
-	items := DecomposeBatch(specs, cfg.Workers)
+	return specs
+}
+
+func fig5Data(cfg ExpConfig) ([]BarGroup, map[string]map[string]Result, error) {
+	benches := cfg.benches()
+	schemes := core.Schemes()
+	items := DecomposeBatch(schemeSweep(benches, cfg.Size), cfg.Workers)
 	if err := firstDecompErr(items); err != nil {
 		return nil, nil, err
 	}
@@ -357,16 +364,7 @@ func Fig6(cfg ExpConfig) (Report, error) {
 	for _, s := range schemes {
 		header = append(header, s.String())
 	}
-	specs := make([]Spec, 0, len(benches)*len(schemes))
-	for _, b := range benches {
-		for _, scheme := range schemes {
-			specs = append(specs, Spec{
-				Bench:  b.Name,
-				Params: olden.Params{Scheme: scheme, Size: cfg.Size},
-			})
-		}
-	}
-	runs := RunBatch(specs, cfg.Workers)
+	runs := RunBatch(schemeSweep(benches, cfg.Size), cfg.Workers)
 	if err := firstErr(runs); err != nil {
 		return Report{}, err
 	}

@@ -5,7 +5,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/bpred"
@@ -279,7 +278,9 @@ func buildSnapshot(r *Result) stats.Snapshot {
 type Decomposition struct {
 	Total   uint64
 	Compute uint64
-	// Full is the realistic run's full result.
+	// Full is the realistic run's result.  It holds statistics only:
+	// Hier, Heap and PrefEngine are nil, as in every batch slot (see
+	// RunItem); run the spec through Run to keep the machine.
 	Full Result
 }
 
@@ -303,48 +304,14 @@ func perfectSpec(spec Spec) Spec {
 	return spec
 }
 
-// Decompose runs spec twice (realistic + perfect data memory).  The two
-// passes are independent simulations and run concurrently.
-//
-// A spec that already requests perfect data memory has no memory stall
-// to measure: the single run is its own compute pass, so Decompose runs
-// it once and reports Total == Compute rather than simulating the same
-// perfect machine twice.
+// Decompose runs spec twice (realistic + perfect data memory): the
+// one-spec case of DecomposeBatch, so the two passes run concurrently,
+// fault-isolated, and Full holds statistics only.  A spec that already
+// requests perfect data memory has no memory stall to measure: it runs
+// once and reports Total == Compute.
 func Decompose(spec Spec) (Decomposition, error) {
-	if spec.Mem != nil && spec.Mem.PerfectData {
-		full, err := Run(spec)
-		if err != nil {
-			return Decomposition{}, err
-		}
-		return Decomposition{
-			Total:   full.CPU.Cycles,
-			Compute: full.CPU.Cycles,
-			Full:    full,
-		}, nil
-	}
-	var (
-		full, perfect       Result
-		fullErr, perfectErr error
-		wg                  sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		perfect, perfectErr = Run(perfectSpec(spec))
-	}()
-	full, fullErr = Run(spec)
-	wg.Wait()
-	if fullErr != nil {
-		return Decomposition{}, fullErr
-	}
-	if perfectErr != nil {
-		return Decomposition{}, perfectErr
-	}
-	return Decomposition{
-		Total:   full.CPU.Cycles,
-		Compute: perfect.CPU.Cycles,
-		Full:    full,
-	}, nil
+	it := DecomposeBatch([]Spec{spec}, 2)[0]
+	return it.Decomp, it.Err
 }
 
 // defaultsWithLatency returns the Table 2 memory system with a

@@ -7,6 +7,10 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
+
+	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/olden"
 )
 
 // The batch runner executes independent simulations concurrently on a
@@ -21,14 +25,16 @@ import (
 // RunItem is one slot of a batch result: the run outcome, or the error
 // that spec produced.  A failed spec does not abort the batch; the
 // other slots are still filled.
+//
+// A batch keeps statistics, not machines: the slot's Result.Hier, Heap
+// and PrefEngine are cleared as soon as its run finishes, so an
+// experiment holds at most one simulated machine per worker.  The
+// snapshot and the CPU, cache, instruction, predictor and engine
+// counters survive; they are values Run has already built.  Callers
+// that need the machine use Run or RunGuarded.
 type RunItem struct {
 	Result Result
 	Err    error
-	// Elapsed is the wall-clock time of this run.  Under a parallel
-	// batch the runs share host cores, so per-item throughput derived
-	// from it understates single-run speed; treat it as a smoke
-	// indicator (BenchmarkCore measures serial throughput properly).
-	Elapsed time.Duration
 }
 
 // DecompItem is one slot of a decomposition batch result.
@@ -120,11 +126,20 @@ func normWorkers(workers, jobs int) int {
 	return workers
 }
 
+// runSlot runs one batch slot through RunGuarded and keeps only its
+// statistics (see RunItem).
+func runSlot(spec Spec) RunItem {
+	res, err := RunGuarded(spec)
+	res.Hier, res.Heap, res.PrefEngine = nil, nil, nil
+	return RunItem{Result: res, Err: err}
+}
+
 // RunBatch executes every spec and returns the results in input order.
 // At most workers simulations run concurrently (workers <= 0 selects
 // GOMAXPROCS).  Every slot is fault-isolated through RunGuarded:
 // errors, panics and deadline overruns are captured per slot rather
-// than aborting the batch (or, for panics, the whole process).
+// than aborting the batch (or, for panics, the whole process).  Slots
+// hold statistics only (see RunItem).
 func RunBatch(specs []Spec, workers int) []RunItem {
 	out := make([]RunItem, len(specs))
 	if len(specs) == 0 {
@@ -133,9 +148,7 @@ func RunBatch(specs []Spec, workers int) []RunItem {
 	workers = normWorkers(workers, len(specs))
 	if workers == 1 {
 		for i, s := range specs {
-			start := time.Now()
-			out[i].Result, out[i].Err = RunGuarded(s)
-			out[i].Elapsed = time.Since(start)
+			out[i] = runSlot(s)
 		}
 		return out
 	}
@@ -146,9 +159,7 @@ func RunBatch(specs []Spec, workers int) []RunItem {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				start := time.Now()
-				out[i].Result, out[i].Err = RunGuarded(specs[i])
-				out[i].Elapsed = time.Since(start)
+				out[i] = runSlot(specs[i])
 			}
 		}()
 	}
@@ -163,46 +174,26 @@ func RunBatch(specs []Spec, workers int) []RunItem {
 // DecomposeBatch runs the compute/memory-stall decomposition of every
 // spec and returns the results in input order.  Each decomposition's
 // two passes (realistic and perfect data memory) are independent
-// simulations, so the batch flattens them into a single 2n-run pool:
-// the pair for spec i occupies slots 2i (realistic) and 2i+1 (perfect),
-// giving the worker pool twice the parallelism of the spec list without
-// oversubscribing the host.  A spec that already requests perfect data
-// memory contributes a single run (its own compute pass), matching
-// Decompose.
+// simulations, so the batch flattens them into a single run pool,
+// giving the worker pool up to twice the parallelism of the spec list
+// without oversubscribing the host.  A spec that already requests
+// perfect data memory contributes a single run (its own compute pass),
+// and specs whose perfect passes are the same simulation (see
+// perfectPassKey) share one.  Items hold statistics only (see
+// Decomposition.Full).
 func DecomposeBatch(specs []Spec, workers int) []DecompItem {
 	out := make([]DecompItem, len(specs))
-	if len(specs) == 0 {
-		return out
-	}
-	// perfectAt[i] is the flat-pool index of spec i's perfect pass, or
-	// -1 when the realistic run doubles as it.
-	flat := make([]Spec, 0, 2*len(specs))
-	fullAt := make([]int, len(specs))
-	perfectAt := make([]int, len(specs))
-	for i, s := range specs {
-		fullAt[i] = len(flat)
-		flat = append(flat, s)
-		if s.Mem != nil && s.Mem.PerfectData {
-			perfectAt[i] = -1
-			continue
-		}
-		perfectAt[i] = len(flat)
-		flat = append(flat, perfectSpec(s))
-	}
+	flat, fullAt, perfectAt := decompPlan(specs)
 	runs := RunBatch(flat, workers)
 	for i := range specs {
-		full := runs[fullAt[i]]
+		full, perfect := runs[fullAt[i]], runs[perfectAt[i]]
 		if full.Err != nil {
 			out[i].Err = full.Err
 			continue
 		}
-		perfect := full
-		if perfectAt[i] >= 0 {
-			perfect = runs[perfectAt[i]]
-			if perfect.Err != nil {
-				out[i].Err = perfect.Err
-				continue
-			}
+		if perfect.Err != nil {
+			out[i].Err = perfect.Err
+			continue
 		}
 		out[i].Decomp = Decomposition{
 			Total:   full.Result.CPU.Cycles,
@@ -211,6 +202,68 @@ func DecomposeBatch(specs []Spec, workers int) []DecompItem {
 		}
 	}
 	return out
+}
+
+// decompPlan flattens specs into DecomposeBatch's run pool.  fullAt[i]
+// and perfectAt[i] are the pool indices of spec i's realistic and
+// perfect passes; they coincide for a perfect spec, and specs with the
+// same perfectPassKey share one perfect pass.
+func decompPlan(specs []Spec) (flat []Spec, fullAt, perfectAt []int) {
+	flat = make([]Spec, 0, 2*len(specs))
+	fullAt = make([]int, len(specs))
+	perfectAt = make([]int, len(specs))
+	shared := make(map[perfectKey]int)
+	for i, s := range specs {
+		fullAt[i] = len(flat)
+		flat = append(flat, s)
+		if s.Mem != nil && s.Mem.PerfectData {
+			perfectAt[i] = fullAt[i]
+			continue
+		}
+		p := perfectSpec(s)
+		if key, ok := perfectPassKey(p); ok {
+			if at, seen := shared[key]; seen {
+				perfectAt[i] = at
+				continue
+			}
+			shared[key] = len(flat)
+		}
+		perfectAt[i] = len(flat)
+		flat = append(flat, p)
+	}
+	return flat, fullAt, perfectAt
+}
+
+// perfectKey identifies a perfect-data-memory pass up to the fields
+// that cannot change it.
+type perfectKey struct {
+	bench   string
+	params  olden.Params
+	mem     cache.Params
+	timeout time.Duration
+}
+
+// perfectPassKey returns the sharing key of the perfect pass p, or
+// false when p must run on its own.  No engine attaches to a
+// perfect-data run, so Engine, DBP and HW cannot affect it, and kernels
+// read the scheme only through Scheme.UsesSoftwareIdiom and the
+// cooperative test.  So under none, dbp and hw the compute pass is one
+// simulation whatever the scheme or engine.  The interval stays in the
+// key, resolved (0 selects core.DefaultInterval), because a workload
+// may use it structurally: quicklist's skip distance.
+// TestPerfectPassIgnoresHardwareScheme pins both rules over every
+// registered workload.  A custom Kernel, a CPU override (a tracer, an
+// injected fault) or a sampled run is never shared.
+func perfectPassKey(p Spec) (perfectKey, bool) {
+	if p.Kernel != nil || p.CPU != nil || p.Sampling != nil || p.Params.Scheme.UsesSoftwareIdiom() {
+		return perfectKey{}, false
+	}
+	k := perfectKey{bench: p.Bench, params: p.Params, mem: *p.Mem, timeout: p.Timeout}
+	k.params.Scheme = core.SchemeNone
+	if k.params.Interval <= 0 {
+		k.params.Interval = core.DefaultInterval
+	}
+	return k, true
 }
 
 // firstErr returns the first captured error of a batch, preserving the

@@ -1,7 +1,10 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -85,9 +88,21 @@ func TestRunBatchEmptyAndWorkerClamping(t *testing.T) {
 	}
 }
 
+// TestDecomposeBatchMatchesDecompose checks batch decompositions, and
+// Decompose, against an independent reference: direct Runs of each
+// spec and of its perfect-data variant.  The health specs under none,
+// dbp and hw share one perfect pass in the batch, and the quicklist
+// pair must not (its skip distance is the interval), so the reference
+// also covers the sharing key.
 func TestDecomposeBatchMatchesDecompose(t *testing.T) {
+	ql16 := testSpec("quicklist", core.SchemeHardware)
+	ql16.Params.Interval = 16
 	specs := []Spec{
 		testSpec("health", core.SchemeNone),
+		testSpec("health", core.SchemeDBP),
+		testSpec("health", core.SchemeHardware),
+		testSpec("quicklist", core.SchemeNone),
+		ql16,
 		testSpec("treeadd", core.SchemeCooperative),
 	}
 	items := DecomposeBatch(specs, 0)
@@ -95,14 +110,145 @@ func TestDecomposeBatchMatchesDecompose(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, spec := range specs {
-		want, err := Decompose(spec)
+		full, err := Run(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := items[i].Decomp
-		if got.Total != want.Total || got.Compute != want.Compute {
-			t.Errorf("slot %d: batch total=%d compute=%d, serial total=%d compute=%d",
-				i, got.Total, got.Compute, want.Total, want.Compute)
+		perfect, err := Run(perfectSpec(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := Decompose(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []struct {
+			name string
+			d    Decomposition
+		}{{"batch", items[i].Decomp}, {"Decompose", single}} {
+			if got.d.Total != full.CPU.Cycles || got.d.Compute != perfect.CPU.Cycles {
+				t.Errorf("slot %d %s: total=%d compute=%d, direct runs total=%d compute=%d",
+					i, got.name, got.d.Total, got.d.Compute, full.CPU.Cycles, perfect.CPU.Cycles)
+			}
+		}
+	}
+}
+
+// TestDecomposeRecoversPanic: Decompose is fault-isolated like the
+// batch runner, so a panicking kernel comes back as an error instead
+// of killing the process.
+func TestDecomposeRecoversPanic(t *testing.T) {
+	_, err := Decompose(panicSpec())
+	if err == nil || !strings.Contains(err.Error(), "injected kernel panic") {
+		t.Fatalf("Decompose = %v, want the recovered panic", err)
+	}
+}
+
+// TestBatchItemsHoldStatistics pins the batch memory contract: batch
+// and decomposition slots drop the simulated machine (Hier, Heap,
+// PrefEngine) but keep every statistic, so their snapshot JSON is
+// byte-identical to Run's for the same spec.
+func TestBatchItemsHoldStatistics(t *testing.T) {
+	specs := []Spec{
+		testSpec("health", core.SchemeNone),
+		testSpec("health", core.SchemeCooperative),
+		testSpec("mst", core.SchemeHardware),
+	}
+	runs := RunBatch(specs, 2)
+	decomps := DecomposeBatch(specs, 2)
+	for i, spec := range specs {
+		want, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := json.Marshal(want.Stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runs[i].Err != nil || decomps[i].Err != nil {
+			t.Fatalf("slot %d: %v / %v", i, runs[i].Err, decomps[i].Err)
+		}
+		for name, got := range map[string]Result{"RunBatch": runs[i].Result, "DecomposeBatch": decomps[i].Decomp.Full} {
+			if got.Hier != nil || got.Heap != nil || got.PrefEngine != nil {
+				t.Errorf("slot %d %s: machine retained (Hier %v, Heap %v, PrefEngine %v)",
+					i, name, got.Hier != nil, got.Heap != nil, got.PrefEngine != nil)
+			}
+			gotJSON, err := json.Marshal(got.Stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("slot %d %s: snapshot differs from Run's:\n%s\n%s", i, name, gotJSON, wantJSON)
+			}
+		}
+	}
+}
+
+// TestPerfectPassIgnoresHardwareScheme pins the rules perfect-pass
+// sharing relies on (perfectPassKey): with perfect data memory, every
+// registered workload simulates identically under none, dbp and hw at
+// a given jump-pointer interval, and interval 0 is the default
+// interval.  Other intervals may differ (quicklist's skip distance is
+// the interval), so they are compared only among themselves.
+func TestPerfectPassIgnoresHardwareScheme(t *testing.T) {
+	schemes := []core.Scheme{core.SchemeNone, core.SchemeDBP, core.SchemeHardware}
+	intervals := []int{0, core.DefaultInterval, 16}
+	var specs []Spec
+	for _, b := range AllBenches() {
+		for _, interval := range intervals {
+			for _, scheme := range schemes {
+				s := testSpec(b.Name, scheme)
+				s.Params.Interval = interval
+				specs = append(specs, perfectSpec(s))
+			}
+		}
+	}
+	items := RunBatch(specs, 0)
+	perBench := len(intervals) * len(schemes)
+	for i, it := range items {
+		s := specs[i]
+		if it.Err != nil {
+			t.Fatalf("%s/%v/i%d: %v", s.Bench, s.Params.Scheme, s.Params.Interval, it.Err)
+		}
+		if it.Result.CPU.Cycles == 0 {
+			t.Errorf("%s: empty run", s.Bench)
+		}
+		// The reference is none at interval 0 for the default interval,
+		// and none at the same interval otherwise.
+		ref := i - i%perBench
+		if s.Params.Interval == 16 {
+			ref = i - i%len(schemes)
+		}
+		base := items[ref].Result
+		if !reflect.DeepEqual(it.Result.CPU, base.CPU) || it.Result.Cache != base.Cache {
+			t.Errorf("%s/%v/i%d: perfect-data CPU or cache statistics differ from %v/i%d",
+				s.Bench, s.Params.Scheme, s.Params.Interval,
+				specs[ref].Params.Scheme, specs[ref].Params.Interval)
+		}
+	}
+}
+
+// TestDecompPlanSharesFig5PerfectPasses: Figure 5's spec set for one
+// benchmark flattens to its 5 realistic runs and 3 perfect passes —
+// none, dbp and hw share one, sw and coop each need their own.
+func TestDecompPlanSharesFig5PerfectPasses(t *testing.T) {
+	b, _ := BenchByName("health")
+	specs := schemeSweep([]*olden.Benchmark{b}, olden.SizeFull)
+	flat, fullAt, perfectAt := decompPlan(specs)
+	var realistic, perfect int
+	for _, s := range flat {
+		if s.Mem != nil && s.Mem.PerfectData {
+			perfect++
+		} else {
+			realistic++
+		}
+	}
+	if realistic != 5 || perfect != 3 {
+		t.Fatalf("flattened to %d realistic and %d perfect runs, want 5 and 3", realistic, perfect)
+	}
+	for i, s := range specs {
+		if flat[fullAt[i]].Params.Scheme != s.Params.Scheme || !flat[perfectAt[i]].Mem.PerfectData {
+			t.Errorf("slot %d (%v): pool indices %d/%d misaligned", i, s.Params.Scheme, fullAt[i], perfectAt[i])
 		}
 	}
 }
