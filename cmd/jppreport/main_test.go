@@ -57,6 +57,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-size", "test", "-exp", "fig9"}, &out); err == nil {
 		t.Error("unknown experiment accepted")
 	}
+	// A misspelt -bench must fail every filtering experiment, not
+	// render empty tables.
+	for _, id := range []string{"table1", "fig4", "fig5", "fig6", "costs", "shootout"} {
+		err := run([]string{"-size", "test", "-exp", id, "-bench", "helth"}, &out)
+		if err == nil || !strings.Contains(err.Error(), `"helth"`) {
+			t.Errorf("-exp %s -bench helth: err = %v", id, err)
+		}
+	}
 }
 
 // TestRunStatsTable feeds jppsim-format stats JSON (one single-object

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/stats"
@@ -147,8 +148,10 @@ type Hierarchy struct {
 	// with linear probing and backward-shift deletion: lookups are a
 	// probe of a few slots rather than a scan of every outstanding
 	// fill, and completed entries are reclaimed by the probes that
-	// step over them.
-	inflight      []inflightFill
+	// step over them.  A slot packs the fill's completion cycle above
+	// its line index (line >> lineShift, 32-lineShift bits); 0 is an
+	// empty slot.
+	inflight      []uint64
 	inflightN     int
 	inflightShift uint
 
@@ -166,14 +169,6 @@ type Hierarchy struct {
 	tr *stats.Tracker
 
 	s Stats
-}
-
-// inflightFill is one in-flight L1-level line fill (a slot of the
-// open-addressed inflight table).
-type inflightFill struct {
-	done uint64
-	line uint32
-	used bool
 }
 
 // inflightInitSlots is the inflight table's starting capacity; it
@@ -200,7 +195,7 @@ func New(p Params) *Hierarchy {
 		l1l2Bus:  NewBus(p.ChunkBytes, p.L1L2ChunkCycles),
 		memBus:   NewBus(p.ChunkBytes, p.MemChunkCycles),
 		mshr:     make([]uint64, p.MSHRs),
-		inflight: make([]inflightFill, inflightInitSlots),
+		inflight: make([]uint64, inflightInitSlots),
 		// 32-bit hash >> shift indexes the table: shift = 32 - log2(slots).
 		inflightShift: 32 - uint(bits.Len(uint(inflightInitSlots-1))),
 		distinct:      make([][]uint64, 1<<(32-lineShift-distinctLeafBits)),
@@ -235,6 +230,24 @@ func (h *Hierarchy) inflightHome(line uint32) int {
 	return int((line * 0x9E3779B1) >> h.inflightShift)
 }
 
+// packFill encodes a fill of line completing at done as an inflight
+// slot.  It panics if done does not fit above the line index (2^37
+// cycles with 32-byte lines) or is 0, which would read as empty.
+func (h *Hierarchy) packFill(line uint32, done uint64) uint64 {
+	idxBits := 32 - h.lineShift
+	if done-1 >= 1<<(64-idxBits)-1 {
+		panic(fmt.Sprintf("cache: fill completion cycle %d does not fit the in-flight table", done))
+	}
+	return done<<idxBits | uint64(line>>h.lineShift)
+}
+
+// fillDone is the completion cycle of an occupied inflight slot.
+func (h *Hierarchy) fillDone(s uint64) uint64 { return s >> (32 - h.lineShift) }
+
+// fillLine is the line address of an occupied inflight slot: the low
+// 32 bits shifted left by lineShift drop the cycle field.
+func (h *Hierarchy) fillLine(s uint64) uint32 { return uint32(s) << h.lineShift }
+
 // findInflight returns the table slot of line's in-flight fill, or -1.
 // Fills that completed at or before now are reclaimed as the probe
 // steps over them, which is unobservable: every consumer compares the
@@ -243,17 +256,17 @@ func (h *Hierarchy) inflightHome(line uint32) int {
 func (h *Hierarchy) findInflight(now uint64, line uint32) int {
 	i := h.inflightHome(line)
 	for {
-		e := &h.inflight[i]
-		if !e.used {
+		s := h.inflight[i]
+		if s == 0 {
 			return -1
 		}
-		if e.done <= now {
+		if h.fillDone(s) <= now {
 			// Reclaim and re-examine the slot (deletion shifts a
 			// later entry into it or empties it).
 			h.dropInflight(i)
 			continue
 		}
-		if e.line == line {
+		if h.fillLine(s) == line {
 			return i
 		}
 		i = (i + 1) & (len(h.inflight) - 1)
@@ -264,19 +277,19 @@ func (h *Hierarchy) findInflight(now uint64, line uint32) int {
 // probe chain behind it so every survivor stays reachable.
 func (h *Hierarchy) dropInflight(i int) {
 	mask := len(h.inflight) - 1
-	h.inflight[i] = inflightFill{}
+	h.inflight[i] = 0
 	h.inflightN--
 	j := i
 	for {
 		j = (j + 1) & mask
-		e := h.inflight[j]
-		if !e.used {
+		s := h.inflight[j]
+		if s == 0 {
 			return
 		}
-		// e can fill the hole iff the hole lies on e's probe path.
-		if (j-h.inflightHome(e.line))&mask >= (j-i)&mask {
-			h.inflight[i] = e
-			h.inflight[j] = inflightFill{}
+		// s can fill the hole iff the hole lies on s's probe path.
+		if (j-h.inflightHome(h.fillLine(s)))&mask >= (j-i)&mask {
+			h.inflight[i] = s
+			h.inflight[j] = 0
 			i = j
 		}
 	}
@@ -289,20 +302,21 @@ func (h *Hierarchy) insertInflight(now uint64, line uint32, done uint64) {
 	if 2*h.inflightN >= len(h.inflight) {
 		h.growInflight()
 	}
+	packed := h.packFill(line, done)
 	i := h.inflightHome(line)
 	for {
-		e := &h.inflight[i]
-		if !e.used {
-			*e = inflightFill{done: done, line: line, used: true}
+		s := h.inflight[i]
+		if s == 0 {
+			h.inflight[i] = packed
 			h.inflightN++
 			return
 		}
-		if e.done <= now {
+		if h.fillDone(s) <= now {
 			h.dropInflight(i)
 			continue
 		}
-		if e.line == line {
-			e.done = done
+		if h.fillLine(s) == line {
+			h.inflight[i] = packed
 			return
 		}
 		i = (i + 1) & (len(h.inflight) - 1)
@@ -312,18 +326,18 @@ func (h *Hierarchy) insertInflight(now uint64, line uint32, done uint64) {
 // growInflight doubles the table, rehashing the live entries.
 func (h *Hierarchy) growInflight() {
 	old := h.inflight
-	h.inflight = make([]inflightFill, 2*len(old))
+	h.inflight = make([]uint64, 2*len(old))
 	h.inflightShift--
 	mask := len(h.inflight) - 1
-	for _, e := range old {
-		if !e.used {
+	for _, s := range old {
+		if s == 0 {
 			continue
 		}
-		i := h.inflightHome(e.line)
-		for h.inflight[i].used {
+		i := h.inflightHome(h.fillLine(s))
+		for h.inflight[i] != 0 {
 			i = (i + 1) & mask
 		}
-		h.inflight[i] = e
+		h.inflight[i] = s
 	}
 }
 
@@ -423,7 +437,7 @@ func (h *Hierarchy) AccessData(now uint64, addr uint32, kind Kind) Result {
 	if l1hit {
 		done := now + uint64(h.p.L1D.LatCycles)
 		if fill >= 0 {
-			if d := h.inflight[fill].done; d > done {
+			if d := h.fillDone(h.inflight[fill]); d > done {
 				done = d
 			} else {
 				h.dropInflight(fill)
@@ -451,7 +465,7 @@ func (h *Hierarchy) AccessData(now uint64, addr uint32, kind Kind) Result {
 	if h.pb != nil && h.pb.lookup(addr) {
 		done := now + uint64(h.p.PB.LatCycles)
 		if fill >= 0 {
-			if d := h.inflight[fill].done; d > done {
+			if d := h.fillDone(h.inflight[fill]); d > done {
 				done = d
 			} else {
 				h.dropInflight(fill)
@@ -487,7 +501,7 @@ func (h *Hierarchy) AccessData(now uint64, addr uint32, kind Kind) Result {
 
 	// Merge with an in-flight fill of the same line.
 	if fill >= 0 {
-		if d := h.inflight[fill].done; d > now {
+		if d := h.fillDone(h.inflight[fill]); d > now {
 			if kind == KPref {
 				h.tr.PrefetchIssued(line, d, true)
 				return Result{Done: d, MissL1: true, Dropped: true}

@@ -27,17 +27,28 @@ type ExpConfig struct {
 	Workers int
 }
 
-func (c ExpConfig) benches() []*olden.Benchmark {
+// benches resolves the benchmark filter (nil = the paper suite).  An
+// unknown name is an error naming every unknown one, so a typo never
+// renders an empty report.
+func (c ExpConfig) benches() ([]*olden.Benchmark, error) {
 	if len(c.Benches) == 0 {
-		return olden.Suite()
+		return olden.Suite(), nil
 	}
-	var out []*olden.Benchmark
+	var (
+		out     []*olden.Benchmark
+		unknown []string
+	)
 	for _, n := range c.Benches {
 		if b, ok := BenchByName(n); ok {
 			out = append(out, b)
+		} else {
+			unknown = append(unknown, fmt.Sprintf("%q", n))
 		}
 	}
-	return out
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("harness: unknown benchmark %s", strings.Join(unknown, ", "))
+	}
+	return out, nil
 }
 
 // Report is a rendered experiment result.
@@ -92,7 +103,10 @@ func ExperimentByID(id string) (ExpFunc, bool) {
 // LDS loads, the available miss parallelism, and the structure/idiom
 // summary.
 func Table1(cfg ExpConfig) (Report, error) {
-	benches := cfg.benches()
+	benches, err := cfg.benches()
+	if err != nil {
+		return Report{}, err
+	}
 	specs := make([]Spec, len(benches))
 	for i, b := range benches {
 		specs[i] = Spec{
@@ -195,6 +209,9 @@ func Fig4(cfg ExpConfig) (Report, error) {
 		bench  string
 		labels []string
 	}
+	if _, err := cfg.benches(); err != nil {
+		return Report{}, err
+	}
 	var (
 		entries []entry
 		specs   []Spec
@@ -272,7 +289,10 @@ func schemeSweep(benches []*olden.Benchmark, size olden.Size) []Spec {
 }
 
 func fig5Data(cfg ExpConfig) ([]BarGroup, map[string]map[string]Result, error) {
-	benches := cfg.benches()
+	benches, err := cfg.benches()
+	if err != nil {
+		return nil, nil, err
+	}
 	schemes := core.Schemes()
 	items := DecomposeBatch(schemeSweep(benches, cfg.Size), cfg.Workers)
 	if err := firstDecompErr(items); err != nil {
@@ -358,7 +378,10 @@ func fig5Summary(groups []BarGroup) string {
 // (instructions added by the prefetching transformations are not
 // counted, as in the paper).
 func Fig6(cfg ExpConfig) (Report, error) {
-	benches := cfg.benches()
+	benches, err := cfg.benches()
+	if err != nil {
+		return Report{}, err
+	}
 	schemes := core.Schemes()
 	header := []string{"bench"}
 	for _, s := range schemes {
@@ -478,6 +501,9 @@ func Fig7(cfg ExpConfig) (Report, error) {
 func Costs(cfg ExpConfig) (Report, error) {
 	benches := []string{"health", "em3d", "treeadd", "mst"}
 	if len(cfg.Benches) > 0 {
+		if _, err := cfg.benches(); err != nil {
+			return Report{}, err
+		}
 		benches = cfg.Benches
 	}
 	// Four runs per benchmark, flattened in this order.
@@ -546,7 +572,10 @@ func Costs(cfg ExpConfig) (Report, error) {
 // prefetching — reproducible from the same harness (the registry built
 // for it also backs `jppsim -engine`).
 func Shootout(cfg ExpConfig) (Report, error) {
-	benches := cfg.benches()
+	benches, err := cfg.benches()
+	if err != nil {
+		return Report{}, err
+	}
 	engines := prefetch.Names()
 	// Per benchmark: the engineless baseline first, then every engine,
 	// flattened in render order.

@@ -40,6 +40,29 @@ func TestRunUnknownBenchmark(t *testing.T) {
 	}
 }
 
+// TestExperimentsRejectUnknownBenches: every driver that filters
+// benchmarks names each unknown one instead of rendering an empty
+// report, and fails before running any simulation.
+func TestExperimentsRejectUnknownBenches(t *testing.T) {
+	cfg := ExpConfig{Size: olden.SizeTest, Benches: []string{"helth", "health", "tree-add"}}
+	for _, id := range []string{"table1", "fig4", "fig5", "fig6", "costs", "shootout"} {
+		fn, _ := ExperimentByID(id)
+		rep, err := fn(cfg)
+		if err == nil {
+			t.Errorf("%s: unknown benchmarks accepted, rendered:\n%s", id, rep.Text)
+			continue
+		}
+		for _, name := range []string{`"helth"`, `"tree-add"`} {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("%s: error %q does not name %s", id, err, name)
+			}
+		}
+		if strings.Contains(err.Error(), `"health"`) {
+			t.Errorf("%s: error %q names a known benchmark", id, err)
+		}
+	}
+}
+
 func TestRunDeterministic(t *testing.T) {
 	spec := Spec{
 		Bench:  "health",

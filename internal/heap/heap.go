@@ -82,10 +82,38 @@ type arena struct {
 	free [32][]mem.Addr
 }
 
+// blockInfo is one 8-byte metadata slot.  tag packs the block's arena
+// above log2 of its class (arena<<5 | log2(class)); every class is at
+// least MinClass, so a live block's tag is nonzero and 0 = no block.
 type blockInfo struct {
-	class   uint32 // block size in bytes (power of two); 0 = no block
 	payload uint32 // requested size in bytes
-	arena   int32
+	tag     uint32
+}
+
+// maxArenas bounds the arena IDs a blockInfo tag can hold (27 bits).
+const maxArenas = 1 << 27
+
+// newBlockInfo encodes a live block's metadata.  It panics for an
+// arena ID the tag cannot hold.
+func newBlockInfo(id ArenaID, class, payload uint32) blockInfo {
+	if uint(id) >= maxArenas {
+		panic(fmt.Sprintf("heap: arena %d past the metadata limit of %d arenas", id, maxArenas))
+	}
+	return blockInfo{payload: payload, tag: uint32(id)<<5 | uint32(bits.Len32(class)-1)}
+}
+
+// classIdx is log2 of the block size, the arena free-list index.
+func (b blockInfo) classIdx() uint32 { return b.tag & 31 }
+
+// class is the block size in bytes (a power of two).
+func (b blockInfo) class() uint32 { return 1 << b.classIdx() }
+
+// arena is the arena the block was allocated in.
+func (b blockInfo) arena() ArenaID { return ArenaID(b.tag >> 5) }
+
+// paddingWords is the number of whole words after the payload.
+func (b blockInfo) paddingWords() uint32 {
+	return b.class()/mem.WordBytes - (b.payload+mem.WordBytes-1)/mem.WordBytes
 }
 
 // New returns an allocator that places blocks into img starting at Base.
@@ -116,7 +144,7 @@ func (a *Allocator) info(addr mem.Addr) *blockInfo {
 		return nil
 	}
 	bi := &a.meta[pi][slot%metaPageSlots]
-	if bi.class == 0 {
+	if bi.tag == 0 {
 		return nil
 	}
 	return bi
@@ -192,7 +220,7 @@ func (a *Allocator) AllocIn(id ArenaID, n uint32) mem.Addr {
 	for off := uint32(0); off < class; off += mem.WordBytes {
 		a.img.WriteWord(addr+mem.Addr(off), 0)
 	}
-	*a.metaSlot(addr) = blockInfo{class: class, payload: n, arena: int32(id)}
+	*a.metaSlot(addr) = newBlockInfo(id, class, n)
 	a.allocs++
 	a.liveBytes += int(class)
 	return addr
@@ -204,11 +232,11 @@ func (a *Allocator) Free(addr mem.Addr) {
 	if bi == nil {
 		panic(fmt.Sprintf("heap: free of unallocated address %#x", addr))
 	}
-	ar := a.arenas[bi.arena]
-	cidx := bits.Len32(bi.class) - 1
+	ar := a.arenas[bi.arena()]
+	cidx := bi.classIdx()
 	ar.free[cidx] = append(ar.free[cidx], addr)
 	a.frees++
-	a.liveBytes -= int(bi.class)
+	a.liveBytes -= int(bi.class())
 	*bi = blockInfo{}
 }
 
@@ -216,7 +244,7 @@ func (a *Allocator) Free(addr mem.Addr) {
 // addr, or 0 if addr is not a live block start.
 func (a *Allocator) BlockSize(addr mem.Addr) uint32 {
 	if bi := a.info(addr); bi != nil {
-		return bi.class
+		return bi.class()
 	}
 	return 0
 }
@@ -235,12 +263,10 @@ func (a *Allocator) PayloadSize(addr mem.Addr) uint32 {
 // block and no jump-pointer storage is available (paper §3.3: "if the
 // size is exactly a power of two ... the unvaried load is used").
 func (a *Allocator) PaddingWords(addr mem.Addr) uint32 {
-	bi := a.info(addr)
-	if bi == nil {
-		return 0
+	if bi := a.info(addr); bi != nil {
+		return bi.paddingWords()
 	}
-	payloadWords := (bi.payload + mem.WordBytes - 1) / mem.WordBytes
-	return bi.class/mem.WordBytes - payloadWords
+	return 0
 }
 
 // PaddingAddr returns the address of the last word of the block at addr
@@ -250,10 +276,10 @@ func (a *Allocator) PaddingWords(addr mem.Addr) uint32 {
 // the same information.
 func (a *Allocator) PaddingAddr(addr mem.Addr) (mem.Addr, bool) {
 	bi := a.info(addr)
-	if bi == nil || a.PaddingWords(addr) == 0 {
+	if bi == nil || bi.paddingWords() == 0 {
 		return 0, false
 	}
-	return addr + mem.Addr(bi.class) - mem.WordBytes, true
+	return addr + mem.Addr(bi.class()) - mem.WordBytes, true
 }
 
 // PaddingAddrForBlock computes the jump-pointer slot for a block of the
@@ -311,7 +337,7 @@ func (a *Allocator) PayloadChecksum() uint64 {
 		}
 		for si := range pg {
 			bi := &pg[si]
-			if bi.class == 0 {
+			if bi.tag == 0 {
 				continue
 			}
 			addr := Base + mem.Addr(pi*metaPageSlots+si)*MinClass
