@@ -12,6 +12,7 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/olden"
 )
 
 func main() {
@@ -32,18 +33,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var sz repro.Size
-	switch *size {
-	case "test":
-		sz = repro.SizeTest
-	case "small":
-		sz = repro.SizeSmall
-	case "full":
-		sz = repro.SizeFull
-	case "large":
-		sz = repro.SizeLarge
-	default:
-		return fmt.Errorf("unknown size %q", *size)
+	sz, err := olden.ParseSize(*size)
+	if err != nil {
+		return err
 	}
 
 	names := []string{}

@@ -53,14 +53,9 @@ func run(args []string, out io.Writer) error {
 	}
 
 	cfg := repro.ExpConfig{Workers: *jobs}
-	switch *size {
-	case "test":
-		cfg.Size = olden.SizeTest
-	case "small":
-		cfg.Size = olden.SizeSmall
-	case "full":
-		cfg.Size = olden.SizeFull
-	default:
+	var err error
+	// large only stresses the simulator (olden.SizeLarge); no artifact uses it.
+	if cfg.Size, err = olden.ParseSize(*size); err != nil || cfg.Size == olden.SizeLarge {
 		return fmt.Errorf("unknown size %q", *size)
 	}
 	if *bench != "" {

@@ -1,34 +1,40 @@
 package main
 
-import "testing"
+import (
+	"testing"
 
-// FuzzParseArgs throws arbitrary strings at the three jppsim argument
-// parsers: they must either return a value or an error, never panic,
-// and must stay strict (no silently accepting junk as a default).
+	"repro/internal/core"
+	"repro/internal/olden"
+)
+
+// FuzzParseArgs throws arbitrary strings at the three parsers behind
+// jppsim's -scheme, -idiom and -size: they must either return a value
+// or an error, never panic, and must stay strict (no silently
+// accepting junk as a default).
 func FuzzParseArgs(f *testing.F) {
 	for _, s := range []string{"", "none", "coop", "hardware", "queue", "full", "test", "TEST", "смалл", "c\x00op"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		if _, err := parseScheme(s); err == nil {
+		if _, err := core.ParseScheme(s); err == nil {
 			switch s {
 			case "none", "dbp", "sw", "software", "coop", "cooperative", "hw", "hardware":
 			default:
-				t.Errorf("parseScheme(%q) accepted junk", s)
+				t.Errorf("ParseScheme(%q) accepted junk", s)
 			}
 		}
-		if _, err := parseIdiom(s); err == nil {
+		if _, err := core.ParseIdiom(s); err == nil {
 			switch s {
 			case "", "queue", "full", "chain", "root":
 			default:
-				t.Errorf("parseIdiom(%q) accepted junk", s)
+				t.Errorf("ParseIdiom(%q) accepted junk", s)
 			}
 		}
-		if _, err := parseSize(s); err == nil {
+		if _, err := olden.ParseSize(s); err == nil {
 			switch s {
-			case "test", "small", "full":
+			case "test", "small", "full", "large":
 			default:
-				t.Errorf("parseSize(%q) accepted junk", s)
+				t.Errorf("ParseSize(%q) accepted junk", s)
 			}
 		}
 	})

@@ -50,7 +50,9 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/olden"
 )
 
 func main() {
@@ -138,7 +140,7 @@ func run(args []string, out io.Writer) (err error) {
 		vsize := repro.SizeSmall
 		if sizeSet {
 			var err error
-			if vsize, err = parseSize(*size); err != nil {
+			if vsize, err = olden.ParseSize(*size); err != nil {
 				return err
 			}
 		}
@@ -179,17 +181,17 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}
 	if *noReplay {
-		core := cpu.Defaults()
-		core.DisableBlockReplay = true
-		cfg.Core = &core
+		cc := cpu.Defaults()
+		cc.DisableBlockReplay = true
+		cfg.Core = &cc
 	}
-	if cfg.Scheme, err = parseScheme(*scheme); err != nil {
+	if cfg.Scheme, err = core.ParseScheme(*scheme); err != nil {
 		return err
 	}
-	if cfg.Idiom, err = parseIdiom(*idiom); err != nil {
+	if cfg.Idiom, err = core.ParseIdiom(*idiom); err != nil {
 		return err
 	}
-	if cfg.Size, err = parseSize(*size); err != nil {
+	if cfg.Size, err = olden.ParseSize(*size); err != nil {
 		return err
 	}
 
@@ -289,50 +291,4 @@ func printResult(out io.Writer, r repro.Result) {
 		fmt.Fprintf(out, "hardware JPP      recurrentPCs=%d jpStores=%d jpLaunches=%d\n",
 			r.HW.RecurrentPCs, r.HW.JPStores, r.HW.JPLaunches)
 	}
-}
-
-func parseScheme(s string) (repro.Scheme, error) {
-	switch s {
-	case "none":
-		return repro.SchemeNone, nil
-	case "dbp":
-		return repro.SchemeDBP, nil
-	case "sw", "software":
-		return repro.SchemeSoftware, nil
-	case "coop", "cooperative":
-		return repro.SchemeCooperative, nil
-	case "hw", "hardware":
-		return repro.SchemeHardware, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q", s)
-}
-
-func parseIdiom(s string) (repro.Idiom, error) {
-	switch s {
-	case "":
-		return repro.IdiomDefault, nil
-	case "queue":
-		return repro.IdiomQueue, nil
-	case "full":
-		return repro.IdiomFull, nil
-	case "chain":
-		return repro.IdiomChain, nil
-	case "root":
-		return repro.IdiomRoot, nil
-	}
-	return 0, fmt.Errorf("unknown idiom %q", s)
-}
-
-func parseSize(s string) (repro.Size, error) {
-	switch s {
-	case "test":
-		return repro.SizeTest, nil
-	case "small":
-		return repro.SizeSmall, nil
-	case "full":
-		return repro.SizeFull, nil
-	case "large":
-		return repro.SizeLarge, nil
-	}
-	return 0, fmt.Errorf("unknown size %q", s)
 }

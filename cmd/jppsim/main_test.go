@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
+	"repro/internal/olden"
 	"repro/internal/stats"
 )
 
@@ -25,17 +27,17 @@ func TestParseScheme(t *testing.T) {
 		{"hardware", repro.SchemeHardware},
 	}
 	for _, c := range cases {
-		got, err := parseScheme(c.in)
+		got, err := core.ParseScheme(c.in)
 		if err != nil {
-			t.Errorf("parseScheme(%q): %v", c.in, err)
+			t.Errorf("ParseScheme(%q): %v", c.in, err)
 		}
 		if got != c.want {
-			t.Errorf("parseScheme(%q) = %v, want %v", c.in, got, c.want)
+			t.Errorf("ParseScheme(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 	for _, bad := range []string{"", "NONE", "hardwear", "all"} {
-		if _, err := parseScheme(bad); err == nil {
-			t.Errorf("parseScheme(%q) accepted", bad)
+		if _, err := core.ParseScheme(bad); err == nil {
+			t.Errorf("ParseScheme(%q) accepted", bad)
 		}
 	}
 }
@@ -52,17 +54,17 @@ func TestParseIdiom(t *testing.T) {
 		{"root", repro.IdiomRoot},
 	}
 	for _, c := range cases {
-		got, err := parseIdiom(c.in)
+		got, err := core.ParseIdiom(c.in)
 		if err != nil {
-			t.Errorf("parseIdiom(%q): %v", c.in, err)
+			t.Errorf("ParseIdiom(%q): %v", c.in, err)
 		}
 		if got != c.want {
-			t.Errorf("parseIdiom(%q) = %v, want %v", c.in, got, c.want)
+			t.Errorf("ParseIdiom(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 	for _, bad := range []string{"ribs", "Queue", "default"} {
-		if _, err := parseIdiom(bad); err == nil {
-			t.Errorf("parseIdiom(%q) accepted", bad)
+		if _, err := core.ParseIdiom(bad); err == nil {
+			t.Errorf("ParseIdiom(%q) accepted", bad)
 		}
 	}
 }
@@ -78,17 +80,17 @@ func TestParseSize(t *testing.T) {
 		{"large", repro.SizeLarge},
 	}
 	for _, c := range cases {
-		got, err := parseSize(c.in)
+		got, err := olden.ParseSize(c.in)
 		if err != nil {
-			t.Errorf("parseSize(%q): %v", c.in, err)
+			t.Errorf("ParseSize(%q): %v", c.in, err)
 		}
 		if got != c.want {
-			t.Errorf("parseSize(%q) = %v, want %v", c.in, got, c.want)
+			t.Errorf("ParseSize(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 	for _, bad := range []string{"", "tiny", "FULL"} {
-		if _, err := parseSize(bad); err == nil {
-			t.Errorf("parseSize(%q) accepted", bad)
+		if _, err := olden.ParseSize(bad); err == nil {
+			t.Errorf("ParseSize(%q) accepted", bad)
 		}
 	}
 }

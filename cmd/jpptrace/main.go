@@ -84,31 +84,12 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown benchmark %q", *bench)
 	}
 	var params olden.Params
-	switch *size {
-	case "test":
-		params.Size = olden.SizeTest
-	case "small":
-		params.Size = olden.SizeSmall
-	case "full":
-		params.Size = olden.SizeFull
-	case "large":
-		params.Size = olden.SizeLarge
-	default:
-		return fmt.Errorf("unknown size %q", *size)
+	var err error
+	if params.Size, err = olden.ParseSize(*size); err != nil {
+		return err
 	}
-	switch *scheme {
-	case "none":
-		params.Scheme = core.SchemeNone
-	case "dbp":
-		params.Scheme = core.SchemeDBP
-	case "sw":
-		params.Scheme = core.SchemeSoftware
-	case "coop":
-		params.Scheme = core.SchemeCooperative
-	case "hw":
-		params.Scheme = core.SchemeHardware
-	default:
-		return fmt.Errorf("unknown scheme %q", *scheme)
+	if params.Scheme, err = core.ParseScheme(*scheme); err != nil {
+		return err
 	}
 
 	img := mem.NewImage()
@@ -130,7 +111,7 @@ func run(args []string, out io.Writer) error {
 	cfg.Tracer = &tracer{out: out, skip: *skip, limit: *n}
 	gen := ir.NewGen(alloc, b.Kernel(params))
 	c := cpu.New(cfg, hier, pred, eng)
-	fmt.Fprintf(out, "# %s / %s — seq, pc, class, dispatch cycle, issue/done deltas\n", *bench, *scheme)
+	fmt.Fprintf(out, "# %s / %v — seq, pc, class, dispatch cycle, issue/done deltas\n", *bench, params.Scheme)
 	stats := c.Run(gen)
 	fmt.Fprintf(out, "# run: %d cycles, %d instructions, IPC %.2f\n",
 		stats.Cycles, stats.Insts, stats.IPC())

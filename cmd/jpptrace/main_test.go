@@ -31,6 +31,22 @@ func TestRunTraceSmoke(t *testing.T) {
 	}
 }
 
+// TestRunTraceLongSchemeName checks that jpptrace takes jppsim's long
+// scheme names and traces exactly what the short name traces.
+func TestRunTraceLongSchemeName(t *testing.T) {
+	var short, long strings.Builder
+	args := []string{"-bench", "health", "-size", "test", "-n", "10", "-scheme"}
+	if err := run(append(args, "coop"), &short); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "cooperative"), &long); err != nil {
+		t.Fatal(err)
+	}
+	if long.String() != short.String() {
+		t.Errorf("-scheme cooperative traced\n%s\nwant the -scheme coop trace\n%s", long.String(), short.String())
+	}
+}
+
 // TestRunTraceSkip checks that -skip drops the first instructions: every
 // traced sequence number must be beyond the skip point.
 func TestRunTraceSkip(t *testing.T) {

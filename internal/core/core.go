@@ -58,6 +58,26 @@ func (i Idiom) String() string {
 	return fmt.Sprintf("idiom(%d)", uint8(i))
 }
 
+// ParseIdiom inverts String for the four idioms.  The empty string
+// selects IdiomNone, which kernels read as "the benchmark's
+// representative idiom"; "none" is rejected so a flag cannot suggest
+// that it disables the idiom.
+func ParseIdiom(s string) (Idiom, error) {
+	switch s {
+	case "":
+		return IdiomNone, nil
+	case "queue":
+		return IdiomQueue, nil
+	case "full":
+		return IdiomFull, nil
+	case "chain":
+		return IdiomChain, nil
+	case "root":
+		return IdiomRoot, nil
+	}
+	return 0, fmt.Errorf("unknown idiom %q", s)
+}
+
 // Scheme selects a prefetching implementation (paper §3).
 type Scheme uint8
 
@@ -92,6 +112,24 @@ func (s Scheme) String() string {
 		return "hw"
 	}
 	return fmt.Sprintf("scheme(%d)", uint8(s))
+}
+
+// ParseScheme inverts String, and also accepts the long names
+// software, cooperative and hardware.
+func ParseScheme(s string) (Scheme, error) {
+	switch s {
+	case "none":
+		return SchemeNone, nil
+	case "dbp":
+		return SchemeDBP, nil
+	case "sw", "software":
+		return SchemeSoftware, nil
+	case "coop", "cooperative":
+		return SchemeCooperative, nil
+	case "hw", "hardware":
+		return SchemeHardware, nil
+	}
+	return 0, fmt.Errorf("unknown scheme %q", s)
 }
 
 // UsesSoftwareIdiom reports whether kernels must emit idiom code for s.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -459,5 +461,35 @@ func TestAdaptiveIntervalWidensUnderLateness(t *testing.T) {
 	}
 	if eng.IntervalMoves() == 0 {
 		t.Fatal("no adaptation steps recorded")
+	}
+}
+
+// TestParseRoundTrip pins ParseScheme and ParseIdiom as the inverses
+// of String, and checks that a rejected string is named in the error.
+func TestParseRoundTrip(t *testing.T) {
+	for _, s := range Schemes() {
+		if got, err := ParseScheme(s.String()); err != nil || got != s {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	for _, i := range []Idiom{IdiomQueue, IdiomFull, IdiomChain, IdiomRoot} {
+		if got, err := ParseIdiom(i.String()); err != nil || got != i {
+			t.Errorf("ParseIdiom(%q) = %v, %v; want %v", i.String(), got, err, i)
+		}
+	}
+	// IdiomNone means "the benchmark's representative idiom" and is
+	// spelled as the empty flag value, never as its String.
+	if got, err := ParseIdiom(""); err != nil || got != IdiomNone {
+		t.Errorf(`ParseIdiom("") = %v, %v; want %v`, got, err, IdiomNone)
+	}
+	for _, bad := range []string{"", "Coop", "scheme(9)", "hardwear"} {
+		if _, err := ParseScheme(bad); err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
+			t.Errorf("ParseScheme(%q) error = %v, want one naming the input", bad, err)
+		}
+	}
+	for _, bad := range []string{"none", "Queue", "idiom(9)", "default"} {
+		if _, err := ParseIdiom(bad); err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
+			t.Errorf("ParseIdiom(%q) error = %v, want one naming the input", bad, err)
+		}
 	}
 }

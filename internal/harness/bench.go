@@ -8,7 +8,8 @@ import (
 // The harness resolves workload names across both first-class kernel
 // families — the Olden suite (internal/olden) and the modern
 // pointer-intensive family (internal/kernels) — so jppsim, jppchar,
-// jpptrace, jppd and the validation drivers all see one flat namespace.
+// jpptrace, jppreport and the validation drivers all see one flat
+// namespace.
 // Registration enforces that the namespaces never overlap.
 
 // BenchByName resolves a workload name from either family.

@@ -6,7 +6,7 @@
 // today's pointer-chasing workloads stress.  Each kernel here emits
 // through the same ir.Asm path the Olden kernels use and supports every
 // scheme, idiom, interval and size knob, so the whole experiment and
-// validation stack (harness, jppsim/jppchar/jpptrace, jppd, the
+// validation stack (harness, jppsim/jppchar/jpptrace/jppreport, the
 // differential oracle) runs them unchanged.
 //
 // The family (registry names in parentheses):

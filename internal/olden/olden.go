@@ -58,6 +58,22 @@ func (s Size) String() string {
 	return fmt.Sprintf("size(%d)", int(s))
 }
 
+// ParseSize inverts String for the four explicit sizes.  SizeDefault
+// has no spelling of its own: it prints, and runs, as "full".
+func ParseSize(s string) (Size, error) {
+	switch s {
+	case "test":
+		return SizeTest, nil
+	case "small":
+		return SizeSmall, nil
+	case "full":
+		return SizeFull, nil
+	case "large":
+		return SizeLarge, nil
+	}
+	return 0, fmt.Errorf("unknown size %q", s)
+}
+
 // Params configures one kernel instantiation.
 type Params struct {
 	Scheme core.Scheme

@@ -1,6 +1,8 @@
 package olden
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -173,6 +175,25 @@ func TestRNGDeterministicAndSpread(t *testing.T) {
 	for d := 0; d < 10; d++ {
 		if buckets[d] < 50 {
 			t.Fatalf("rng digit %d appeared only %d/1000 times", d, buckets[d])
+		}
+	}
+}
+
+// TestParseSizeRoundTrip pins ParseSize as the inverse of String, and
+// checks that a rejected string is named in the error.
+func TestParseSizeRoundTrip(t *testing.T) {
+	for _, s := range []Size{SizeTest, SizeSmall, SizeFull, SizeLarge} {
+		if got, err := ParseSize(s.String()); err != nil || got != s {
+			t.Errorf("ParseSize(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	// SizeDefault prints as the size it runs as.
+	if got, err := ParseSize(SizeDefault.String()); err != nil || got != SizeFull {
+		t.Errorf("ParseSize(%q) = %v, %v; want %v", SizeDefault.String(), got, err, SizeFull)
+	}
+	for _, bad := range []string{"", "FULL", "size(9)", "huge"} {
+		if _, err := ParseSize(bad); err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
+			t.Errorf("ParseSize(%q) error = %v, want one naming the input", bad, err)
 		}
 	}
 }
