@@ -341,9 +341,6 @@ func (h *Hierarchy) growInflight() {
 	}
 }
 
-// Params returns the hierarchy's configuration.
-func (h *Hierarchy) Params() Params { return h.p }
-
 // mshrAlloc picks an outstanding-miss slot, returning the earliest
 // cycle (>= now) at which the miss may start and the slot index.  The
 // caller records the miss completion time into the slot.

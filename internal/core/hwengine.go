@@ -98,9 +98,6 @@ func (h *HWEngine) HWStats() HWStats {
 	return s
 }
 
-// JQTState exposes the jump queue table for tests.
-func (h *HWEngine) JQTState() *JQT { return h.jqt }
-
 // IsRecurrent reports whether the load at pc has been identified as a
 // recurrent ("backbone") load.
 func (h *HWEngine) IsRecurrent(pc uint32) bool { return h.recurrent[pc] }

@@ -11,9 +11,14 @@
 // wrong-path instructions are not executed; a mispredicted branch
 // instead freezes fetch until it resolves plus a front-end refill
 // penalty (an approximation documented in DESIGN.md).
+//
+// The issue scheduler keeps one bit per window slot in a uint64, so 64
+// instructions in flight is its structural maximum; New rejects a
+// larger (or empty) window.
 package cpu
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/bpred"
@@ -226,10 +231,9 @@ type robEntry struct {
 	isMem        bool
 	missL1       bool
 
-	// Mask-scheduler state (WindowSize <= 64 fast path).  readyAt is
-	// the operand-ready time, valid once waitLeft reaches zero;
-	// waitLeft counts distinct unissued producers still owed a
-	// completion time.
+	// Scheduler state.  readyAt is the operand-ready time, valid once
+	// waitLeft reaches zero; waitLeft counts distinct unissued producers
+	// still owed a completion time.
 	readyAt  uint64
 	waitLeft uint8
 }
@@ -249,19 +253,8 @@ type Core struct {
 	headSeq uint64 // sequence number of the ROB head
 	nextSeq uint64 // next sequence number to dispatch
 
-	// status ring: done time per in-flight sequence number.
-	ring []uint64 // doneAt; ^0 means not complete
-
-	// firstUnissued is the lowest sequence number that may still be
-	// unissued: every window entry below it has issued, so the issue
-	// scan starts there instead of at the head.
-	firstUnissued uint64
-	// unissuedStores counts stores in the window that have not issued;
-	// while it is zero no load can be ordering-blocked.
-	unissuedStores int
-
-	// Mask scheduler (used when WindowSize <= 64; issueScan otherwise).
-	// Bit i of each mask covers ROB slot i.  Unissued entries whose
+	// Issue scheduler.  Bit i of each mask covers ROB slot i, so the
+	// window holds at most 64 entries.  Unissued entries whose
 	// operand-ready time is cached in readyAt are split by due time:
 	// readyMask holds entries ready now (the issue loop visits only
 	// them), pendMask holds entries whose readyAt is still in the
@@ -271,7 +264,6 @@ type Core struct {
 	// asleep waiting for a producer to issue.  storeMask holds unissued
 	// stores (the load-ordering rule).  waiters[p] is the set of slots
 	// woken when slot p issues.
-	useMasks  bool
 	readyMask uint64
 	pendMask  uint64
 	pendMin   uint64
@@ -350,11 +342,12 @@ type storeRef struct {
 }
 
 // New builds a core over a hierarchy and branch predictor; eng may be
-// nil for runs without hardware prefetching.
+// nil for runs without hardware prefetching.  It panics when
+// cfg.WindowSize is outside [1, 64]: the scheduler keeps one bit per
+// window slot in a uint64.
 func New(cfg Config, hier *cache.Hierarchy, pred *bpred.Predictor, eng PrefetchEngine) *Core {
-	ringSize := 1
-	for ringSize < cfg.WindowSize*2 {
-		ringSize <<= 1
+	if cfg.WindowSize < 1 || cfg.WindowSize > 64 {
+		panic(fmt.Sprintf("cpu: WindowSize %d outside [1, 64]", cfg.WindowSize))
 	}
 	storeCap := cfg.LSQSize
 	if storeCap < 1 {
@@ -371,65 +364,58 @@ func New(cfg Config, hier *cache.Hierarchy, pred *bpred.Predictor, eng PrefetchE
 	for sqCap < storeCap {
 		sqCap <<= 1
 	}
-	c := &Core{
+	return &Core{
 		cfg:    cfg,
 		hier:   hier,
 		pred:   pred,
 		eng:    eng,
 		rob:    make([]robEntry, robCap),
-		ring:   make([]uint64, ringSize),
 		storeQ: make([]storeRef, sqCap),
 		// Pre-size the event queues so the steady state never grows
 		// them: outstanding misses and pending load callbacks are both
 		// bounded by the window (compaction reuses this backing store).
-		missDone:      make([]uint64, 0, cfg.WindowSize),
-		loadDone:      make([]loadEvent, 0, cfg.WindowSize),
-		loadDoneMin:   ^uint64(0),
-		pendMin:       ^uint64(0),
-		headSeq:       1,
-		nextSeq:       1,
-		firstUnissued: 1,
-		useMasks:      robCap <= 64,
+		missDone:    make([]uint64, 0, cfg.WindowSize),
+		loadDone:    make([]loadEvent, 0, cfg.WindowSize),
+		loadDoneMin: ^uint64(0),
+		pendMin:     ^uint64(0),
+		headSeq:     1,
+		nextSeq:     1,
+		waiters:     make([]uint64, robCap),
 	}
-	if c.useMasks {
-		c.waiters = make([]uint64, robCap)
-	}
-	for i := range c.ring {
-		c.ring[i] = ^uint64(0)
-	}
-	return c
-}
-
-// srcReadyAt reports when a source operand becomes (or became) ready.
-// known is false while the producer has not issued, so no completion
-// time exists yet.
-func (c *Core) srcReadyAt(src uint64) (at uint64, known bool) {
-	if src == 0 || src < c.headSeq {
-		return 0, true
-	}
-	if src >= c.nextSeq {
-		// Producer not yet dispatched (should not happen: program order).
-		return 0, false
-	}
-	t := c.ring[src&uint64(len(c.ring)-1)]
-	if t == ^uint64(0) {
-		return 0, false
-	}
-	return t, true
 }
 
 // Run simulates the stream to completion and returns the statistics.
 // When cfg.Sampling is set it delegates to the sampled-simulation loop
-// (see sample.go); the full-fidelity path below is unchanged by it.
+// (see sample.go), which drives the same cycle loop in spans.
 func (c *Core) Run(gen *ir.Gen) Stats {
 	if c.cfg.Sampling != nil {
 		return c.runSampled(gen)
 	}
 	// Block-granular dispatch needs the generator's decoded-block
 	// metadata; without it (or with the knob off) fetch stages one
-	// instruction at a time.
+	// instruction at a time.  Sampled runs keep the classic path: their
+	// fast-forward consumes the generator one instruction at a time.
 	c.useSpans = !c.cfg.DisableBlockReplay && gen.HasMeta()
+	c.runDetailed(gen, ^uint64(0), true)
+	c.s.Cycles = c.now
+	return c.s
+}
+
+// runDetailed is the cycle loop: it advances the detailed timing
+// simulation until the committed-instruction count reaches target, the
+// stream ends, or MaxCycles trips.  With fetch false the front end is
+// frozen (the drain that closes a sampled run's measured interval: the
+// loop then also returns once the window empties).  It reports true
+// when the stream is exhausted (including truncation).
+func (c *Core) runDetailed(gen *ir.Gen, target uint64, fetch bool) bool {
 	for {
+		if c.s.Insts >= target {
+			return false
+		}
+		if !fetch && c.count == 0 {
+			return false
+		}
+
 		// ---- commit ----
 		committed := c.commitStage()
 
@@ -441,38 +427,39 @@ func (c *Core) Run(gen *ir.Gen) Stats {
 		memUsed, issued, nextIssue := c.issue()
 
 		// ---- fetch/dispatch ----
-		var done bool
-		if c.useSpans {
-			done = c.fetchDispatchSpan(gen)
-		} else {
-			done = c.fetchDispatch(gen)
-		}
-		if done {
-			c.genDone = true
+		done := false
+		if fetch {
+			if c.useSpans {
+				done = c.fetchDispatchSpan(gen)
+			} else {
+				done = c.fetchDispatch(gen)
+			}
+			if done {
+				c.genDone = true
+			}
 		}
 
 		// ---- prefetch engine ----
 		if c.eng != nil {
 			free := c.cfg.MemPorts - memUsed
-			if free > 0 {
-				c.eng.Tick(c.now, free)
-			} else {
-				c.eng.Tick(c.now, 0)
+			if free < 0 {
+				free = 0
 			}
+			c.eng.Tick(c.now, free)
 		}
 
 		if done && c.count == 0 {
-			break
+			return true
 		}
 		// Attribute this cycle before advancing so Attribution.Total()
-		// equals Cycles on every exit path (the final break above skips
-		// both the attribution and the increment).
+		// equals Cycles on every exit path (the return above skips both
+		// the attribution and the increment).
 		c.s.Attribution.Account(c.classifyCycle(committed))
 		c.now++
 		if c.cfg.MaxCycles > 0 && c.now >= c.cfg.MaxCycles {
 			c.s.Truncated = true
 			gen.Stop()
-			break
+			return true
 		}
 
 		// ---- event-driven cycle skipping ----
@@ -483,7 +470,7 @@ func (c *Core) Run(gen *ir.Gen) Stats {
 		// skipped cycles in bulk; see nextEventAt for the invariants.
 		if committed == 0 && issued == 0 && delivered == 0 &&
 			c.nextSeq == seqBefore && !c.cfg.DisableCycleSkip {
-			next := c.nextEventAt(nextIssue, true)
+			next := c.nextEventAt(nextIssue, fetch)
 			if c.cfg.MaxCycles > 0 && next > c.cfg.MaxCycles {
 				next = c.cfg.MaxCycles
 			}
@@ -494,14 +481,16 @@ func (c *Core) Run(gen *ir.Gen) Stats {
 				c.s.Attribution.AccountN(c.classifyCycle(0), span)
 				// fetchDispatch would have counted a front-end stall for
 				// every skipped cycle it was blocked.
-				if c.blockSeq != 0 {
-					c.s.FetchStallCycles += span
-				} else if c.fetchReadyAt > c.now {
-					stall := c.fetchReadyAt - c.now
-					if stall > span {
-						stall = span
+				if fetch {
+					if c.blockSeq != 0 {
+						c.s.FetchStallCycles += span
+					} else if c.fetchReadyAt > c.now {
+						stall := c.fetchReadyAt - c.now
+						if stall > span {
+							stall = span
+						}
+						c.s.FetchStallCycles += stall
 					}
-					c.s.FetchStallCycles += stall
 				}
 				if c.eng != nil {
 					// The engine provably had nothing due during the
@@ -515,13 +504,11 @@ func (c *Core) Run(gen *ir.Gen) Stats {
 				if c.cfg.MaxCycles > 0 && c.now >= c.cfg.MaxCycles {
 					c.s.Truncated = true
 					gen.Stop()
-					break
+					return true
 				}
 			}
 		}
 	}
-	c.s.Cycles = c.now
-	return c.s
 }
 
 // commitStage retires up to CommitWidth completed instructions from the
@@ -675,37 +662,24 @@ func (c *Core) classifyCycle(committed int) stats.Category {
 	return stats.CatOther
 }
 
-// issue selects and issues up to IssueWidth ready instructions in age
-// order, respecting FU counts, memory ports and LSQ ordering rules.  It
-// returns the number of memory ports consumed, the number of
-// instructions issued, and the earliest future cycle at which a
-// currently-stalled instruction could issue (^uint64(0) when no such
-// bound is known; only meaningful to the cycle-skip logic when nothing
-// issued this cycle — any activity disables the skip).
-func (c *Core) issue() (memUsed, issued int, nextIssue uint64) {
-	if c.useMasks {
-		return c.issueMasked()
-	}
-	return c.issueScan()
-}
-
 // srcState resolves one operand: its ready time if the producer has
 // issued (known), else the ROB slot whose issue will provide it.  The
 // producer is always dispatched before its consumer (program order), so
-// an unknown producer is in the window.
+// a producer at or above headSeq is in the window, and its entry's
+// doneAt, fixed at issue, is the ready time.
 func (c *Core) srcState(src uint64) (at uint64, known bool, slot int) {
 	if src == 0 || src < c.headSeq {
 		return 0, true, -1
 	}
-	t := c.ring[src&uint64(len(c.ring)-1)]
-	if t == ^uint64(0) {
-		return 0, false, (c.head + int(src-c.headSeq)) & (len(c.rob) - 1)
+	slot = (c.head + int(src-c.headSeq)) & (len(c.rob) - 1)
+	if e := &c.rob[slot]; e.issued {
+		return e.doneAt, true, -1
 	}
-	return t, true, -1
+	return 0, false, slot
 }
 
 // subscribe registers a freshly dispatched entry (slot idx) with the
-// mask scheduler: cache its operand-ready time if every producer has
+// scheduler: cache its operand-ready time if every producer has
 // issued, otherwise sleep until the producers' issue wakes it.
 func (c *Core) subscribe(idx int) {
 	e := &c.rob[idx]
@@ -777,13 +751,18 @@ func (c *Core) olderMask(idx int) uint64 {
 	return ^headMask | below
 }
 
-// issueMasked is the issue stage for windows of at most 64 entries: it
+// issue selects and issues up to IssueWidth ready instructions in age
+// order, respecting FU counts, memory ports and LSQ ordering rules.  It
 // visits only the entries that are operand-ready this cycle
-// (readyMask), in age order, instead of rescanning the window.  Entries
-// with a cached future ready time sit in pendMask and are promoted in
-// bulk only on cycles that reach pendMin, so stall-heavy spans touch no
-// entries at all.  The selection it makes is identical to issueScan's.
-func (c *Core) issueMasked() (memUsed, issued int, nextIssue uint64) {
+// (readyMask) instead of rescanning the window.  Entries with a cached
+// future ready time sit in pendMask and are promoted in bulk only on
+// cycles that reach pendMin, so stall-heavy spans touch no entries at
+// all.  It returns the number of memory ports consumed, the number of
+// instructions issued, and the earliest future cycle at which a
+// currently-stalled instruction could issue (^uint64(0) when no such
+// bound is known; only meaningful to the cycle-skip logic when nothing
+// issued this cycle — any activity disables the skip).
+func (c *Core) issue() (memUsed, issued int, nextIssue uint64) {
 	if c.pendMin <= c.now {
 		m, newMin := c.pendMask, ^uint64(0)
 		for m != 0 {
@@ -883,12 +862,10 @@ func (c *Core) issueMasked() (memUsed, issued int, nextIssue uint64) {
 			if e.issued {
 				issued++
 				e.issuedAt = c.now
-				c.ring[d.Seq&uint64(len(c.ring)-1)] = e.doneAt
 				bit := uint64(1) << uint(idx)
 				c.readyMask &^= bit
 				if d.Class == ir.Store {
 					c.storeMask &^= bit
-					c.unissuedStores--
 				}
 				c.wake(idx, e.doneAt)
 				if d.Seq == c.blockSeq {
@@ -900,140 +877,6 @@ func (c *Core) issueMasked() (memUsed, issued int, nextIssue uint64) {
 		}
 		if issued >= c.cfg.IssueWidth {
 			break
-		}
-	}
-	return memUsed, issued, nextIssue
-}
-
-// issueScan is the issue stage for windows larger than 64 entries: an
-// oldest-first scan starting at the first-unissued cursor.
-func (c *Core) issueScan() (memUsed, issued int, nextIssue uint64) {
-	nextIssue = ^uint64(0)
-	var aluUsed, fpAddUsed int
-	// The prefix below the cursor is fully issued, so it contains no
-	// unissued store; starting the scan there preserves the ordering
-	// rule for loads.
-	sawUnissuedStore := false
-	checkStores := c.unissuedStores > 0
-
-	start := 0
-	if c.firstUnissued > c.headSeq {
-		start = int(c.firstUnissued - c.headSeq)
-	}
-	prefix := true // entries scanned so far were all issued
-
-	for k := start; k < c.count && issued < c.cfg.IssueWidth; k++ {
-		idx := (c.head + k) & (len(c.rob) - 1)
-		e := &c.rob[idx]
-		if e.issued {
-			if prefix {
-				c.firstUnissued = c.headSeq + uint64(k) + 1
-			}
-			continue
-		}
-		wasPrefix := prefix
-		prefix = false
-		d := &e.d
-		t1, ok1 := c.srcReadyAt(d.Src1)
-		t2, ok2 := c.srcReadyAt(d.Src2)
-		if !ok1 || !ok2 || t1 > c.now || t2 > c.now {
-			if d.Class == ir.Store {
-				sawUnissuedStore = true
-			}
-			// Wake-up bound for the skip logic: known once both
-			// producers have issued.  An unknown producer needs no
-			// bound — its own issue is a separate event.
-			if ok1 && ok2 {
-				t := t1
-				if t2 > t {
-					t = t2
-				}
-				if t < nextIssue {
-					nextIssue = t
-				}
-			}
-			continue
-		}
-		switch d.Class {
-		case ir.Load:
-			// Loads wait for all previous store addresses.
-			if checkStores && sawUnissuedStore {
-				continue
-			}
-			if memUsed >= c.cfg.MemPorts {
-				nextIssue = c.now + 1
-				continue
-			}
-			memUsed++
-			c.issueLoad(idx)
-		case ir.Store:
-			if memUsed >= c.cfg.MemPorts {
-				sawUnissuedStore = true
-				nextIssue = c.now + 1
-				continue
-			}
-			memUsed++
-			c.hier.AccessData(c.now, d.Addr, cache.KStore)
-			e.issued = true
-			e.doneAt = c.now + 1
-		case ir.Prefetch:
-			if memUsed >= c.cfg.MemPorts {
-				nextIssue = c.now + 1
-				continue
-			}
-			memUsed++
-			res := c.hier.AccessData(c.now, d.Addr, cache.KPref)
-			e.issued = true
-			e.doneAt = c.now + 1 // non-binding: completes on issue
-			if c.eng != nil {
-				c.eng.OnSWPrefetch(c.now, d, res.Done)
-			}
-		case ir.IntMult, ir.IntDiv, ir.FpMult, ir.FpDiv:
-			fu := c.cfg.FUs[d.Class]
-			if free := c.divFree[d.Class]; free > c.now {
-				if free < nextIssue {
-					nextIssue = free
-				}
-				continue
-			}
-			e.issued = true
-			e.doneAt = c.now + uint64(fu.Latency)
-			if !fu.Pipelined {
-				c.divFree[d.Class] = e.doneAt
-			}
-		case ir.FpAdd:
-			if fpAddUsed >= c.cfg.FUs[ir.FpAdd].Count {
-				nextIssue = c.now + 1
-				continue
-			}
-			fpAddUsed++
-			e.issued = true
-			e.doneAt = c.now + uint64(c.cfg.FUs[ir.FpAdd].Latency)
-		default: // IntAlu, Nop, Branch, Jump
-			if aluUsed >= c.cfg.FUs[ir.IntAlu].Count {
-				nextIssue = c.now + 1
-				continue
-			}
-			aluUsed++
-			e.issued = true
-			e.doneAt = c.now + 1
-		}
-		if e.issued {
-			issued++
-			e.issuedAt = c.now
-			c.ring[d.Seq&uint64(len(c.ring)-1)] = e.doneAt
-			if d.Class == ir.Store {
-				c.unissuedStores--
-			}
-			if wasPrefix {
-				prefix = true
-				c.firstUnissued = c.headSeq + uint64(k) + 1
-			}
-			if d.Seq == c.blockSeq {
-				// The mispredicted branch resolved; restart fetch.
-				c.fetchReadyAt = e.doneAt + uint64(c.cfg.MispredictPenalty)
-				c.blockSeq = 0
-			}
 		}
 	}
 	return memUsed, issued, nextIssue
@@ -1143,8 +986,8 @@ func (c *Core) deliverLoads() int {
 	return delivered
 }
 
-// dispatch inserts d into the window: ROB tail, status ring, LSQ and
-// store-FIFO occupancy, and mask-scheduler subscription.  The ROB slot
+// dispatch inserts d into the window: ROB tail, LSQ and store-FIFO
+// occupancy, and scheduler subscription.  The ROB slot
 // is written field by field: doneAt/issuedAt/readyAt/waitLeft may stay
 // stale because they are only read after issue (gated on e.issued) or
 // after subscribe rewrites them, and avoiding the whole-struct
@@ -1157,7 +1000,6 @@ func (c *Core) dispatch(d *ir.DynInst, isMem, isStore bool) {
 	e.issued = false
 	e.isMem = isMem
 	e.missL1 = false
-	c.ring[d.Seq&uint64(len(c.ring)-1)] = ^uint64(0)
 	c.count++
 	c.nextSeq = d.Seq + 1
 	if isMem {
@@ -1165,15 +1007,10 @@ func (c *Core) dispatch(d *ir.DynInst, isMem, isStore bool) {
 		if isStore {
 			c.storeQ[(c.storeHead+c.storeCount)&(len(c.storeQ)-1)] = storeRef{seq: d.Seq, addr: d.Addr}
 			c.storeCount++
-			c.unissuedStores++
-		}
-	}
-	if c.useMasks {
-		if isStore {
 			c.storeMask |= uint64(1) << uint(tail)
 		}
-		c.subscribe(tail)
 	}
+	c.subscribe(tail)
 }
 
 // fetchDispatchSpan is the block-replay front end: it walks whole

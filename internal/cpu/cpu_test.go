@@ -196,6 +196,39 @@ func TestWindowLimitsOverlap(t *testing.T) {
 	}
 }
 
+// TestNewRejectsUnschedulableWindow pins the scheduler's structural
+// bounds: one mask bit per window slot caps the window at 64, and an
+// empty window could never dispatch.  Accepted sizes must run a kernel
+// to completion.
+func TestNewRejectsUnschedulableWindow(t *testing.T) {
+	for _, w := range []int{0, 65} {
+		cfg := Defaults()
+		cfg.WindowSize = w
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted WindowSize %d", w)
+				}
+			}()
+			New(cfg, cache.New(perfect()), bpred.New(bpred.Defaults()), nil)
+		}()
+	}
+	for _, w := range []int{1, 64} {
+		cfg := Defaults()
+		cfg.WindowSize = w
+		gen := ir.NewGen(heap.New(mem.NewImage()), func(a *ir.Asm) {
+			v := ir.Imm(1)
+			for i := 0; i < 100; i++ {
+				v = a.Alu(100, v.U32()+1, v, ir.Val{})
+			}
+		})
+		s := New(cfg, cache.New(perfect()), bpred.New(bpred.Defaults()), nil).Run(gen)
+		if s.Insts != 100 {
+			t.Errorf("WindowSize %d committed %d of 100 instructions", w, s.Insts)
+		}
+	}
+}
+
 func TestCommitCountMatchesKernel(t *testing.T) {
 	s := run(t, perfect(), func(a *ir.Asm) {
 		for i := 0; i < 1234; i++ {

@@ -163,88 +163,6 @@ func (c *Core) runSampled(gen *ir.Gen) Stats {
 	return c.s
 }
 
-// runDetailed advances the detailed timing simulation until the
-// committed-instruction count reaches target, the stream ends, or
-// MaxCycles trips.  With fetch false the front end is frozen (the drain
-// that closes a measured interval: the loop then also returns once the
-// window empties).  The cycle loop is the same staged pipeline as
-// Run's, sharing every stage helper; it reports true when the stream is
-// exhausted (including truncation).
-func (c *Core) runDetailed(gen *ir.Gen, target uint64, fetch bool) bool {
-	for {
-		if c.s.Insts >= target {
-			return false
-		}
-		if !fetch && c.count == 0 {
-			return false
-		}
-
-		committed := c.commitStage()
-		delivered := c.deliverLoads()
-		seqBefore := c.nextSeq
-		memUsed, issued, nextIssue := c.issue()
-		done := false
-		if fetch {
-			done = c.fetchDispatch(gen)
-			if done {
-				c.genDone = true
-			}
-		}
-		if c.eng != nil {
-			free := c.cfg.MemPorts - memUsed
-			if free < 0 {
-				free = 0
-			}
-			c.eng.Tick(c.now, free)
-		}
-
-		if done && c.count == 0 {
-			return true
-		}
-		c.s.Attribution.Account(c.classifyCycle(committed))
-		c.now++
-		if c.cfg.MaxCycles > 0 && c.now >= c.cfg.MaxCycles {
-			c.s.Truncated = true
-			gen.Stop()
-			return true
-		}
-
-		// Event-driven cycle skipping, exactly as in Run; with fetch
-		// frozen the front end contributes no wake-up candidate.
-		if committed == 0 && issued == 0 && delivered == 0 &&
-			c.nextSeq == seqBefore && !c.cfg.DisableCycleSkip {
-			next := c.nextEventAt(nextIssue, fetch)
-			if c.cfg.MaxCycles > 0 && next > c.cfg.MaxCycles {
-				next = c.cfg.MaxCycles
-			}
-			if next > c.now {
-				span := next - c.now
-				c.s.Attribution.AccountN(c.classifyCycle(0), span)
-				if fetch {
-					if c.blockSeq != 0 {
-						c.s.FetchStallCycles += span
-					} else if c.fetchReadyAt > c.now {
-						stall := c.fetchReadyAt - c.now
-						if stall > span {
-							stall = span
-						}
-						c.s.FetchStallCycles += stall
-					}
-				}
-				if c.eng != nil {
-					c.eng.Tick(next-1, 0)
-				}
-				c.now = next
-				if c.cfg.MaxCycles > 0 && c.now >= c.cfg.MaxCycles {
-					c.s.Truncated = true
-					gen.Stop()
-					return true
-				}
-			}
-		}
-	}
-}
-
 // fastForward executes up to n instructions functionally: architectural
 // effects already happened in the generator, so the core's job here is
 // commit-order bookkeeping (counters, Tracer, engine training),
@@ -310,13 +228,11 @@ func (c *Core) fastForward(gen *ir.Gen, n uint64, sam *SampleStats) (uint64, boo
 	if ffed > 0 {
 		// Resynchronize the dispatch bookkeeping past the skipped
 		// sequence range.  The window is empty (the drain guaranteed
-		// it), so the scheduler masks and queues are all idle; the ring
-		// may hold stale completion times for skipped sequences, which
-		// srcReadyAt never consults (they are below headSeq) and
-		// dispatch overwrites.
+		// it), so the scheduler masks and queues are all idle, and
+		// operands produced inside the range read as ready (below
+		// headSeq).
 		c.headSeq = lastSeq + 1
 		c.nextSeq = lastSeq + 1
-		c.firstUnissued = lastSeq + 1
 	}
 
 	// Advance the clock by the provisional extrapolated cost of the

@@ -141,10 +141,6 @@ type DepPredictor struct {
 	sets  [][]dpEntry
 	assoc int
 	tick  uint64
-
-	inserts uint64
-	queries uint64
-	hits    uint64
 }
 
 type dpEntry struct {
@@ -173,7 +169,6 @@ func (d *DepPredictor) set(pc uint32) []dpEntry {
 
 // Insert records the correlation producer -> (consumer, offset).
 func (d *DepPredictor) Insert(producer, consumer, offset uint32) {
-	d.inserts++
 	d.tick++
 	set := d.set(producer)
 	victim := &set[0]
@@ -205,7 +200,6 @@ func (d *DepPredictor) Query(pc uint32) []Dep {
 // and returns the extended slice, keeping the per-query allocation off
 // hot paths.
 func (d *DepPredictor) QueryInto(pc uint32, buf []Dep) []Dep {
-	d.queries++
 	set := d.set(pc)
 	out := buf
 	for i := range set {
@@ -214,9 +208,6 @@ func (d *DepPredictor) QueryInto(pc uint32, buf []Dep) []Dep {
 			e.lru = d.tick
 			out = append(out, Dep{ConsumerPC: e.consumer, Offset: e.offset})
 		}
-	}
-	if len(out) > len(buf) {
-		d.hits++
 	}
 	return out
 }
@@ -231,9 +222,4 @@ func (d *DepPredictor) HasEdge(producer, consumer uint32) bool {
 		}
 	}
 	return false
-}
-
-// Stats reports predictor activity.
-func (d *DepPredictor) Stats() (inserts, queries, hits uint64) {
-	return d.inserts, d.queries, d.hits
 }

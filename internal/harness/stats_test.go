@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/olden"
 	"repro/internal/stats"
 )
@@ -172,19 +173,37 @@ func TestStatsDeterministic(t *testing.T) {
 
 // TestGoldenStats locks the small-scale stats snapshot of every Olden
 // kernel under cooperative JPP: any timing-model change shows up as a
-// reviewable golden diff.  Regenerate with:
+// reviewable golden diff.  Three sampled runs ride along: their unit is
+// short enough to fast-forward many times, so they pin the sampled
+// loop's timing exactly (TestSampledMatchesFull only bounds its error).
+// Regenerate with:
 //
 //	go test ./internal/harness -run TestGoldenStats -update
 func TestGoldenStats(t *testing.T) {
 	t.Parallel()
+	type golden struct {
+		name, file string
+		spec       Spec
+	}
+	var cases []golden
 	for _, b := range AllBenches() {
-		b := b
-		t.Run(b.Name, func(t *testing.T) {
+		cases = append(cases, golden{b.Name, "stats_" + b.Name + "_coop_test.json", Spec{
+			Bench:  b.Name,
+			Params: olden.Params{Scheme: core.SchemeCooperative, Size: olden.SizeTest},
+		}})
+	}
+	for _, name := range []string{"health", "treeadd", "lru"} {
+		cases = append(cases, golden{name + "_small_sampled", "stats_" + name + "_coop_small_sampled.json", Spec{
+			Bench:    name,
+			Params:   olden.Params{Scheme: core.SchemeCooperative, Size: olden.SizeSmall},
+			Sampling: &cpu.SamplingConfig{Period: 20_000, Detail: 2_000, Warmup: 1_000},
+		}})
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			res, err := Run(Spec{
-				Bench:  b.Name,
-				Params: olden.Params{Scheme: core.SchemeCooperative, Size: olden.SizeTest},
-			})
+			res, err := Run(tc.spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,7 +211,7 @@ func TestGoldenStats(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := marshalSnap(t, res.Stats)
-			path := filepath.Join("testdata", "stats_"+b.Name+"_coop_test.json")
+			path := filepath.Join("testdata", tc.file)
 			if *update {
 				if err := os.WriteFile(path, got, 0o644); err != nil {
 					t.Fatal(err)
@@ -205,7 +224,7 @@ func TestGoldenStats(t *testing.T) {
 			}
 			if string(got) != string(want) {
 				t.Errorf("stats snapshot for %s changed (rerun with -update if intended)\ngot:\n%s\nwant:\n%s",
-					b.Name, got, want)
+					tc.name, got, want)
 			}
 			// The golden file itself must parse and validate — it is the
 			// published example of the schema.

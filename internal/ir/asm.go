@@ -132,9 +132,6 @@ func (a *Asm) sendBatch() {
 // inspection (e.g. padding-slot addresses for software jump-pointers).
 func (a *Asm) Heap() *heap.Allocator { return a.heap }
 
-// Image returns the simulated memory image.
-func (a *Asm) Image() *mem.Image { return a.img }
-
 func (a *Asm) next(site int) (uint64, uint32) {
 	a.seq++
 	return a.seq, SitePC(site)
@@ -413,9 +410,6 @@ func (a *Asm) stats() Stats {
 		ReplayAborts:   a.rp.replayAborts,
 	}
 }
-
-// Seq returns the number of instructions emitted so far.
-func (a *Asm) Seq() uint64 { return a.seq }
 
 func (s Stats) String() string {
 	return fmt.Sprintf("insts=%d (orig=%d ovhd=%d) loads=%d/%d(lds/other)",

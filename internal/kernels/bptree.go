@@ -3,6 +3,7 @@ package kernels
 import (
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/olden"
 )
 
 // bptree models an insert-built B+tree (distinct from the olden
@@ -93,15 +94,15 @@ type bpNode struct {
 
 func bptreeKernel(p Params) func(*ir.Asm) {
 	cfg := bptreeSizes(p.Size)
-	idiom := swIdiom(p, core.IdiomQueue)
-	isCoop := coop(p)
+	idiom := p.SWIdiom(core.IdiomQueue)
+	isCoop := p.Coop()
 
 	return func(a *ir.Asm) {
-		r := newRNG(0xc2b2ae35)
+		r := olden.NewRNG(0xc2b2ae35)
 
 		var queue *core.SWJumpQueue
 		if idiom == core.IdiomQueue {
-			queue = core.NewSWJumpQueue(a, bpQueue, 0, interval(p), bpJump)
+			queue = core.NewSWJumpQueue(a, bpQueue, 0, p.EffectiveInterval(), bpJump)
 		}
 
 		newLeaf := func() *bpNode {
@@ -266,7 +267,7 @@ func bptreeKernel(p Params) func(*ir.Asm) {
 			cur, mirror := firstLeaf.addr, firstLeaf
 			sum := ir.Imm(0)
 			for !cur.IsNil() {
-				if prefetchOn(p) && idiom == core.IdiomQueue {
+				if p.PrefetchOn() && idiom == core.IdiomQueue {
 					queuePrefetch(a, bpIdiom, cur, bpJump, isCoop)
 				}
 				for j := 0; j < mirror.n; j++ {
@@ -289,12 +290,12 @@ func bptreeKernel(p Params) func(*ir.Asm) {
 		var keys []uint32
 		for b := 0; b < cfg.batches; b++ {
 			for i := 0; i < perBatch; i++ {
-				k := r.next()
+				k := r.Next()
 				insert(k)
 				keys = append(keys, k)
 			}
 			for i := 0; i < cfg.lookups; i++ {
-				lookup(keys[r.intn(len(keys))])
+				lookup(keys[r.Intn(len(keys))])
 			}
 			scan()
 		}

@@ -3,6 +3,7 @@ package kernels
 import (
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/olden"
 )
 
 // hashchurn models a chained hash table under growth churn: zipf-skewed
@@ -76,11 +77,11 @@ func hashchurnSizes(s Size) hashchurnCfg {
 
 func hashchurnKernel(p Params) func(*ir.Asm) {
 	cfg := hashchurnSizes(p.Size)
-	idiom := swIdiom(p, core.IdiomQueue)
-	isCoop := coop(p)
+	idiom := p.SWIdiom(core.IdiomQueue)
+	isCoop := p.Coop()
 
 	return func(a *ir.Asm) {
-		r := newRNG(0x5bd1e995)
+		r := olden.NewRNG(0x5bd1e995)
 
 		nbuckets := cfg.buckets0
 		count := 0
@@ -89,7 +90,7 @@ func hashchurnKernel(p Params) func(*ir.Asm) {
 
 		var queue *core.SWJumpQueue
 		if idiom == core.IdiomQueue {
-			queue = core.NewSWJumpQueue(a, hcQueue, 0, interval(p), heJump)
+			queue = core.NewSWJumpQueue(a, hcQueue, 0, p.EffectiveInterval(), heJump)
 		}
 
 		// bucketOff emits the hash computation and returns the
@@ -146,7 +147,7 @@ func hashchurnKernel(p Params) func(*ir.Asm) {
 			off := bucketOff(key)
 			e := a.Load(hcProbe, dir, off, ir.FLDS)
 			for !e.IsNil() {
-				if prefetchOn(p) && idiom == core.IdiomQueue {
+				if p.PrefetchOn() && idiom == core.IdiomQueue {
 					queuePrefetch(a, hcIdiom, e, heJump, isCoop)
 				}
 				k := a.Load(hcWalk, e, heKey, ir.FLDS)
@@ -170,15 +171,15 @@ func hashchurnKernel(p Params) func(*ir.Asm) {
 
 		for round := 0; round < cfg.rounds; round++ {
 			for i := 0; i < cfg.insPer; i++ {
-				insert(r.next() | 1) // odd keys; even keys always miss
+				insert(r.Next() | 1) // odd keys; even keys always miss
 				if count > 4*nbuckets {
 					resize()
 				}
 			}
 			z := newZipf(r, len(keys))
 			for i := 0; i < cfg.probePer; i++ {
-				if r.intn(8) == 0 {
-					probe(r.next() &^ 1) // guaranteed miss: full chain walk
+				if r.Intn(8) == 0 {
+					probe(r.Next() &^ 1) // guaranteed miss: full chain walk
 				} else {
 					probe(keys[len(keys)-1-z.next()])
 				}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/heap"
 	"repro/internal/ir"
 	"repro/internal/mem"
+	"repro/internal/olden"
 )
 
 // Structure-invariant tests: each kernel executes for real against the
@@ -169,7 +170,7 @@ func checkLRU(t *testing.T, img *mem.Image, _ *heap.Allocator) {
 	cfg := lruSizes(SizeTest)
 
 	// Pure-Go replay of the exact get stream.
-	r := newRNG(0x27d4eb2f)
+	r := olden.NewRNG(0x27d4eb2f)
 	z := newZipf(r, cfg.keyspace)
 	var mirror []uint32 // most recent first
 	resident := map[uint32]bool{}

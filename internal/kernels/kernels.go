@@ -32,7 +32,6 @@ package kernels
 import (
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/olden"
 )
@@ -96,65 +95,15 @@ func All() []*Benchmark {
 	return out
 }
 
-// prefetchOn reports whether idiom prefetch code should be emitted
-// (mirrors the unexported olden.Params helpers).
-func prefetchOn(p Params) bool { return !p.CreationOnly }
-
-func interval(p Params) int {
-	if p.Interval <= 0 {
-		return core.DefaultInterval
-	}
-	return p.Interval
-}
-
-// swIdiom resolves the idiom the kernel must emit code for, or
-// core.IdiomNone when the scheme needs no software transformation.
-func swIdiom(p Params, def core.Idiom) core.Idiom {
-	if !p.Scheme.UsesSoftwareIdiom() {
-		return core.IdiomNone
-	}
-	if p.Idiom == core.IdiomNone {
-		return def
-	}
-	return p.Idiom
-}
-
-// coop reports whether chained prefetching is done by hardware, so the
-// kernel emits streamlined jump-pointer prefetches (ir.FJumpChase).
-func coop(p Params) bool { return p.Scheme == core.SchemeCooperative }
-
-// rng is the same deterministic xorshift generator the Olden kernels
-// use, so workloads are reproducible without math/rand state.
-type rng uint64
-
-func newRNG(seed uint64) *rng {
-	r := rng(seed*2685821657736338717 + 1)
-	return &r
-}
-
-func (r *rng) next() uint32 {
-	x := uint64(*r)
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	*r = rng(x)
-	return uint32(x >> 32)
-}
-
-// intn returns a value in [0, n).
-func (r *rng) intn(n int) int {
-	return int(r.next() % uint32(n))
-}
-
 // zipf draws zipf(s~1)-skewed ranks in [0, n) by inverting a
 // precomputed harmonic CDF with a uniform draw.  Integer-only and
 // deterministic: the table is scaled to 1<<16.
 type zipf struct {
-	r   *rng
+	r   *olden.RNG
 	cdf []uint32
 }
 
-func newZipf(r *rng, n int) *zipf {
+func newZipf(r *olden.RNG, n int) *zipf {
 	cdf := make([]uint32, n)
 	var total float64
 	for i := 1; i <= n; i++ {
@@ -171,7 +120,7 @@ func newZipf(r *rng, n int) *zipf {
 
 // next returns a rank in [0, len(cdf)); rank 0 is the hottest.
 func (z *zipf) next() int {
-	u := z.r.next() & 0xFFFF
+	u := z.r.Next() & 0xFFFF
 	lo, hi := 0, len(z.cdf)-1
 	for lo < hi {
 		mid := (lo + hi) / 2

@@ -3,6 +3,7 @@ package kernels
 import (
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/olden"
 )
 
 // lru models a fixed-capacity LRU cache: a hash index over a doubly
@@ -100,15 +101,15 @@ func lruBucket(key, mask uint32) uint32 {
 
 func lruKernel(p Params) func(*ir.Asm) {
 	cfg := lruSizes(p.Size)
-	idiom := swIdiom(p, core.IdiomQueue)
-	isCoop := coop(p)
+	idiom := p.SWIdiom(core.IdiomQueue)
+	isCoop := p.Coop()
 
 	return func(a *ir.Asm) {
-		r := newRNG(0x27d4eb2f)
+		r := olden.NewRNG(0x27d4eb2f)
 
 		var queue *core.SWJumpQueue
 		if idiom == core.IdiomQueue {
-			queue = core.NewSWJumpQueue(a, luQueue, 0, interval(p), luJump)
+			queue = core.NewSWJumpQueue(a, luQueue, 0, p.EffectiveInterval(), luJump)
 		}
 
 		dir := a.Malloc(uint32(cfg.buckets) * 4)
@@ -257,7 +258,7 @@ func lruKernel(p Params) func(*ir.Asm) {
 			cur := a.LoadGlobal(luScan, luHeadOff)
 			sum := ir.Imm(0)
 			for !cur.IsNil() {
-				if prefetchOn(p) && idiom == core.IdiomQueue {
+				if p.PrefetchOn() && idiom == core.IdiomQueue {
 					queuePrefetch(a, luIdiom, cur, luJump, isCoop)
 				}
 				v := a.Load(luScan+1, cur, luVal, ir.FLDS)

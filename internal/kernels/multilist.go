@@ -3,6 +3,7 @@ package kernels
 import (
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/olden"
 )
 
 // multilist models the lockstep multi-list walk of SNIPPETS.md snippet
@@ -72,15 +73,15 @@ func multilistSizes(s Size) multilistCfg {
 
 func multilistKernel(p Params) func(*ir.Asm) {
 	cfg := multilistSizes(p.Size)
-	idiom := swIdiom(p, core.IdiomQueue)
-	isCoop := coop(p)
+	idiom := p.SWIdiom(core.IdiomQueue)
+	isCoop := p.Coop()
 
 	return func(a *ir.Asm) {
-		r := newRNG(0x165667b1)
+		r := olden.NewRNG(0x165667b1)
 
 		var queue *core.SWJumpQueue
 		if idiom == core.IdiomQueue {
-			queue = core.NewSWJumpQueue(a, mlQueue, 0, interval(p), mlJump)
+			queue = core.NewSWJumpQueue(a, mlQueue, 0, p.EffectiveInterval(), mlJump)
 		}
 
 		// Build: allocate each list's nodes in one arena, then link
@@ -92,14 +93,14 @@ func multilistKernel(p Params) func(*ir.Asm) {
 			nodes := make([]ir.Val, cfg.nodes)
 			for i := range nodes {
 				nodes[i] = a.MallocIn(ar, 12)
-				a.Store(mlBuild, nodes[i], mlVal, ir.Imm(r.next()&0xFFFF))
+				a.Store(mlBuild, nodes[i], mlVal, ir.Imm(r.Next()&0xFFFF))
 			}
 			perm := make([]int, cfg.nodes)
 			for i := range perm {
 				perm[i] = i
 			}
 			for i := len(perm) - 1; i > 0; i-- {
-				j := r.intn(i + 1)
+				j := r.Intn(i + 1)
 				perm[i], perm[j] = perm[j], perm[i]
 			}
 			for i := 0; i+1 < len(perm); i++ {
@@ -123,7 +124,7 @@ func multilistKernel(p Params) func(*ir.Asm) {
 			}
 			for step := 0; step < cfg.nodes; step++ {
 				for j := 0; j < k; j++ {
-					if prefetchOn(p) && idiom == core.IdiomQueue {
+					if p.PrefetchOn() && idiom == core.IdiomQueue {
 						queuePrefetch(a, mlIdiom, cur[j], mlJump, isCoop)
 					}
 					v := a.Load(mlWalk, cur[j], mlVal, ir.FLDS)

@@ -3,6 +3,7 @@ package kernels
 import (
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/olden"
 )
 
 // quicklist models a QuickList (SNIPPETS.md snippet 3): a singly-linked
@@ -70,12 +71,12 @@ func quicklistSizes(s Size) quicklistCfg {
 
 func quicklistKernel(p Params) func(*ir.Asm) {
 	cfg := quicklistSizes(p.Size)
-	idiom := swIdiom(p, core.IdiomChain)
-	isCoop := coop(p)
-	dist := interval(p) // structural skip distance
+	idiom := p.SWIdiom(core.IdiomChain)
+	isCoop := p.Coop()
+	dist := p.EffectiveInterval() // structural skip distance
 
 	return func(a *ir.Asm) {
-		r := newRNG(0x45d9f3b3)
+		r := olden.NewRNG(0x45d9f3b3)
 
 		// order mirrors the list so churn knows each node's position;
 		// every link and skip mutation is still emitted.
@@ -100,7 +101,7 @@ func quicklistKernel(p Params) func(*ir.Asm) {
 		// its target exists — construction maintains the structure.
 		for i := 0; i < cfg.nodes; i++ {
 			n := a.Malloc(12)
-			a.Store(qlBuild, n, qlVal, ir.Imm(r.next()&0xFFFF))
+			a.Store(qlBuild, n, qlVal, ir.Imm(r.Next()&0xFFFF))
 			if i > 0 {
 				a.Store(qlBuild+1, order.At(i-1), qlNext, n)
 			}
@@ -117,7 +118,7 @@ func quicklistKernel(p Params) func(*ir.Asm) {
 			cur := order.At(0)
 			sum := ir.Imm(0)
 			for !cur.IsNil() {
-				if prefetchOn(p) && idiom != core.IdiomNone {
+				if p.PrefetchOn() && idiom != core.IdiomNone {
 					queuePrefetch(a, qlIdiom, cur, qlSkip, isCoop)
 				}
 				v := a.Load(qlWalk, cur, qlVal, ir.FLDS)
@@ -132,7 +133,7 @@ func quicklistKernel(p Params) func(*ir.Asm) {
 
 		insertAt := func(pos int) {
 			n := a.Malloc(12)
-			a.Store(qlChurn, n, qlVal, ir.Imm(r.next()&0xFFFF))
+			a.Store(qlChurn, n, qlVal, ir.Imm(r.Next()&0xFFFF))
 			prev := order.At(pos)
 			nxt := a.Load(qlChurn+1, prev, qlNext, ir.FLDS)
 			a.Store(qlChurn+2, n, qlNext, nxt)
@@ -154,8 +155,8 @@ func quicklistKernel(p Params) func(*ir.Asm) {
 		for round := 0; round < cfg.rounds; round++ {
 			walk()
 			for c := 0; c < cfg.churn; c++ {
-				insertAt(r.intn(order.Len() - 1))
-				removeAt(r.intn(order.Len()-2) + 1)
+				insertAt(r.Intn(order.Len() - 1))
+				removeAt(r.Intn(order.Len()-2) + 1)
 			}
 		}
 	}

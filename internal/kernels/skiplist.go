@@ -3,6 +3,7 @@ package kernels
 import (
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/olden"
 )
 
 // skiplist models a classic probabilistic skip list: towers of forward
@@ -74,15 +75,15 @@ func skiplistSizes(s Size) skiplistCfg {
 
 func skiplistKernel(p Params) func(*ir.Asm) {
 	cfg := skiplistSizes(p.Size)
-	idiom := swIdiom(p, core.IdiomQueue)
-	isCoop := coop(p)
+	idiom := p.SWIdiom(core.IdiomQueue)
+	isCoop := p.Coop()
 
 	return func(a *ir.Asm) {
-		r := newRNG(0x85ebca6b)
+		r := olden.NewRNG(0x85ebca6b)
 
 		var queue *core.SWJumpQueue
 		if idiom == core.IdiomQueue {
-			queue = core.NewSWJumpQueue(a, slQueue, 0, interval(p), slJump)
+			queue = core.NewSWJumpQueue(a, slQueue, 0, p.EffectiveInterval(), slJump)
 		}
 
 		// Head node: key 0 (smaller than any real key), full height.
@@ -93,7 +94,7 @@ func skiplistKernel(p Params) func(*ir.Asm) {
 		// [1, slMaxLevel].
 		randHeight := func() int {
 			h := 1
-			for h < slMaxLevel && r.next()&3 == 0 {
+			for h < slMaxLevel && r.Next()&3 == 0 {
 				h++
 			}
 			return h
@@ -160,7 +161,7 @@ func skiplistKernel(p Params) func(*ir.Asm) {
 			cur := a.Load(slScan, head, slFwd0, ir.FLDS)
 			sum := ir.Imm(0)
 			for !cur.IsNil() {
-				if prefetchOn(p) && idiom == core.IdiomQueue {
+				if p.PrefetchOn() && idiom == core.IdiomQueue {
 					queuePrefetch(a, slIdiom, cur, slJump, isCoop)
 				}
 				v := a.Load(slScan+1, cur, slVal, ir.FLDS)
@@ -177,7 +178,7 @@ func skiplistKernel(p Params) func(*ir.Asm) {
 		}
 
 		perBatch := cfg.nodes / cfg.batches
-		nextKey := func() uint32 { return r.next()%0xFFFF_FFF0 + 8 }
+		nextKey := func() uint32 { return r.Next()%0xFFFF_FFF0 + 8 }
 		for b := 0; b < cfg.batches; b++ {
 			for i := 0; i < perBatch; i++ {
 				insert(nextKey())

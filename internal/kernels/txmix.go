@@ -3,6 +3,7 @@ package kernels
 import (
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/olden"
 )
 
 // txmix models a zipf-skewed transactional read/write mix over record
@@ -83,15 +84,15 @@ func txmixSizes(s Size) txmixCfg {
 
 func txmixKernel(p Params) func(*ir.Asm) {
 	cfg := txmixSizes(p.Size)
-	idiom := swIdiom(p, core.IdiomQueue)
-	isCoop := coop(p)
+	idiom := p.SWIdiom(core.IdiomQueue)
+	isCoop := p.Coop()
 
 	return func(a *ir.Asm) {
-		r := newRNG(0x2545f491)
+		r := olden.NewRNG(0x2545f491)
 
 		var queue *core.SWJumpQueue
 		if idiom == core.IdiomQueue {
-			queue = core.NewSWJumpQueue(a, txQueue, 0, interval(p), txfJump)
+			queue = core.NewSWJumpQueue(a, txQueue, 0, p.EffectiveInterval(), txfJump)
 		}
 
 		// Build: the record directory, then each record's chain
@@ -105,7 +106,7 @@ func txmixKernel(p Params) func(*ir.Asm) {
 			a.Store(txBuild, dir, uint32(4*i), rec)
 			for j := 0; j < cfg.chain; j++ {
 				n := a.Malloc(12)
-				a.Store(txBuild+1, n, txfVal, ir.Imm(r.next()&0xFFFF))
+				a.Store(txBuild+1, n, txfVal, ir.Imm(r.Next()&0xFFFF))
 				head := a.Load(txBuild+2, rec, txHead, ir.FLDS)
 				a.Store(txBuild+3, n, txfNext, head)
 				a.Store(txBuild+4, rec, txHead, n)
@@ -116,7 +117,7 @@ func txmixKernel(p Params) func(*ir.Asm) {
 
 		prepend := func(ri int, rec ir.Val) {
 			n := a.Malloc(12)
-			a.Store(txWrite, n, txfVal, ir.Imm(r.next()&0xFFFF))
+			a.Store(txWrite, n, txfVal, ir.Imm(r.Next()&0xFFFF))
 			head := a.Load(txWrite+1, rec, txHead, ir.FLDS)
 			a.Store(txWrite+2, n, txfNext, head)
 			a.Store(txWrite+3, rec, txHead, n)
@@ -137,7 +138,7 @@ func txmixKernel(p Params) func(*ir.Asm) {
 			// Root jumping: chase the next record's chain head while
 			// this transaction runs.
 			var rootJ ir.Val
-			if idiom == core.IdiomRoot && nextRI >= 0 && prefetchOn(p) {
+			if idiom == core.IdiomRoot && nextRI >= 0 && p.PrefetchOn() {
 				if isCoop {
 					a.Prefetch(txRoot, recs[nextRI], txHead, ir.FJumpChase)
 				} else {
@@ -150,10 +151,10 @@ func txmixKernel(p Params) func(*ir.Asm) {
 
 			rec := a.Load(txPick, dir, uint32(4*ri), ir.FLDS)
 			ver := a.Load(txPick+1, rec, txVersion, ir.FLDS)
-			isWrite := r.intn(5) == 0
+			isWrite := r.Intn(5) == 0
 			wslot := -1
 			if isWrite {
-				wslot = r.intn(chainLen[ri])
+				wslot = r.Intn(chainLen[ri])
 			}
 
 			n := a.Load(txPick+2, rec, txHead, ir.FLDS)
@@ -161,9 +162,9 @@ func txmixKernel(p Params) func(*ir.Asm) {
 			slot := 0
 			for !n.IsNil() {
 				switch {
-				case prefetchOn(p) && idiom == core.IdiomQueue:
+				case p.PrefetchOn() && idiom == core.IdiomQueue:
 					queuePrefetch(a, txIdiom, n, txfJump, isCoop)
-				case prefetchOn(p) && idiom == core.IdiomRoot && !isCoop && !rootJ.IsNil():
+				case p.PrefetchOn() && idiom == core.IdiomRoot && !isCoop && !rootJ.IsNil():
 					// Chain along the next record's field nodes.
 					a.Overhead(func() {
 						a.Prefetch(txIdiom+2, rootJ, 0, 0)
@@ -191,7 +192,7 @@ func txmixKernel(p Params) func(*ir.Asm) {
 			a.StoreGlobal(txVer+3, accBase, a.Alu(txVer+4, acc.U32()+sum.U32(), acc, sum))
 			if isWrite {
 				a.Store(txVer+5, rec, txVersion, a.AddImm(txVer+6, ver, 1))
-				if r.intn(4) == 0 {
+				if r.Intn(4) == 0 {
 					prepend(ri, rec)
 				}
 			}

@@ -67,18 +67,18 @@ func bhSizes(s Size) bhCfg {
 
 func bhKernel(p Params) func(*ir.Asm) {
 	cfg := bhSizes(p.Size)
-	idiom := p.swIdiom(core.IdiomQueue)
-	coop := p.coop()
+	idiom := p.SWIdiom(core.IdiomQueue)
+	coop := p.Coop()
 
 	return func(a *ir.Asm) {
-		r := newRNG(0xda3e39cb)
+		r := NewRNG(0xda3e39cb)
 
 		// ---- bodies on a linked list ----
 		bodies := make([]ir.Val, cfg.bodies)
 		for i := range bodies {
 			bodies[i] = a.Malloc(20)
-			a.Store(bhBuild, bodies[i], bhMass, ir.Imm(r.next()%100+1))
-			a.Store(bhBuild+1, bodies[i], bhBPos, ir.Imm(r.next()%4096))
+			a.Store(bhBuild, bodies[i], bhMass, ir.Imm(r.Next()%100+1))
+			a.Store(bhBuild+1, bodies[i], bhBPos, ir.Imm(r.Next()%4096))
 		}
 		for i := 0; i+1 < len(bodies); i++ {
 			a.Store(bhBuild+2, bodies[i], bhBNext, bodies[i+1])
@@ -88,11 +88,11 @@ func bhKernel(p Params) func(*ir.Asm) {
 		var buildCell func(d int) ir.Val
 		buildCell = func(d int) ir.Val {
 			c := a.Malloc(40)
-			a.Store(bhBuild+3, c, bhMass, ir.Imm(r.next()%1000+1))
-			a.Store(bhBuild+4, c, bhPos, ir.Imm(r.next()%4096))
+			a.Store(bhBuild+3, c, bhMass, ir.Imm(r.Next()%1000+1))
+			a.Store(bhBuild+4, c, bhPos, ir.Imm(r.Next()%4096))
 			if d > 0 {
 				for q := 0; q < 8; q++ {
-					if r.intn(3) != 0 { // sparse occupancy
+					if r.Intn(3) != 0 { // sparse occupancy
 						continue
 					}
 					ch := buildCell(d - 1)
@@ -105,7 +105,7 @@ func bhKernel(p Params) func(*ir.Asm) {
 
 		var queue *core.SWJumpQueue
 		if idiom == core.IdiomQueue {
-			queue = core.NewSWJumpQueue(a, bhQueue, 0, p.interval(), bhBJump)
+			queue = core.NewSWJumpQueue(a, bhQueue, 0, p.EffectiveInterval(), bhBJump)
 		}
 
 		// Force walk: descend while the opening criterion (distance vs
@@ -143,9 +143,9 @@ func bhKernel(p Params) func(*ir.Asm) {
 			body := bodies[0]
 			for i := range bodies {
 				if idiom == core.IdiomQueue {
-					if coop && p.prefetchOn() {
+					if coop && p.PrefetchOn() {
 						a.Prefetch(bhIdiom, body, bhBJump, ir.FJumpChase)
-					} else if p.prefetchOn() {
+					} else if p.PrefetchOn() {
 						a.Overhead(func() {
 							j := a.Load(bhIdiom, body, bhBJump, 0)
 							a.Prefetch(bhIdiom+1, j, 0, 0)

@@ -55,16 +55,16 @@ func bisortSizes(s Size) (depth, phases int) {
 
 func bisortKernel(p Params) func(*ir.Asm) {
 	depth, phases := bisortSizes(p.Size)
-	idiom := p.swIdiom(core.IdiomQueue)
-	coop := p.coop()
+	idiom := p.SWIdiom(core.IdiomQueue)
+	coop := p.Coop()
 
 	return func(a *ir.Asm) {
-		r := newRNG(0xbf58476d)
+		r := NewRNG(0xbf58476d)
 
 		var build func(d int) ir.Val
 		build = func(d int) ir.Val {
 			n := a.Malloc(12)
-			a.Store(bbBuild, n, bsValue, ir.Imm(r.next()%100000))
+			a.Store(bbBuild, n, bsValue, ir.Imm(r.Next()%100000))
 			if d > 1 {
 				l := build(d - 1)
 				rt := build(d - 1)
@@ -77,7 +77,7 @@ func bisortKernel(p Params) func(*ir.Asm) {
 
 		var queue *core.SWJumpQueue
 		if idiom == core.IdiomQueue {
-			queue = core.NewSWJumpQueue(a, bbQueue, 0, p.interval(), bsJump)
+			queue = core.NewSWJumpQueue(a, bbQueue, 0, p.EffectiveInterval(), bsJump)
 		}
 
 		// bimerge walks the tree, swapping children when values compare
@@ -85,9 +85,9 @@ func bisortKernel(p Params) func(*ir.Asm) {
 		var bimerge func(n ir.Val, dir bool) ir.Val
 		bimerge = func(n ir.Val, dir bool) ir.Val {
 			if idiom == core.IdiomQueue {
-				if coop && p.prefetchOn() {
+				if coop && p.PrefetchOn() {
 					a.Prefetch(bbIdiom, n, bsJump, ir.FJumpChase)
-				} else if p.prefetchOn() {
+				} else if p.PrefetchOn() {
 					a.Overhead(func() {
 						j := a.Load(bbIdiom, n, bsJump, 0)
 						a.Prefetch(bbIdiom+1, j, 0, 0)

@@ -80,11 +80,11 @@ func btreeSizes(s Size) btreeCfg {
 
 func btreeKernel(p Params) func(*ir.Asm) {
 	cfg := btreeSizes(p.Size)
-	idiom := p.swIdiom(core.IdiomQueue)
-	coop := p.coop()
+	idiom := p.SWIdiom(core.IdiomQueue)
+	coop := p.Coop()
 
 	return func(a *ir.Asm) {
-		r := newRNG(0x6c62272e)
+		r := NewRNG(0x6c62272e)
 
 		// ---- bulk build: sorted keys packed into leaves, inner levels
 		// built bottom-up (the classic bulk-load) ----
@@ -145,7 +145,7 @@ func btreeKernel(p Params) func(*ir.Asm) {
 		// live index, and the reason leaf scans chase pointers.
 		splitArena := a.Heap().NewArena()
 		for s := 0; s < len(leaves)/3; s++ {
-			i := r.intn(len(leaves))
+			i := r.Intn(len(leaves))
 			old := leaves[i]
 			nw := a.MallocIn(splitArena, 40)
 			// Move the upper half of the keys.
@@ -165,7 +165,7 @@ func btreeKernel(p Params) func(*ir.Asm) {
 
 		var queue *core.SWJumpQueue
 		if idiom == core.IdiomQueue {
-			queue = core.NewSWJumpQueue(a, btQueue, 0, p.interval(), btJump)
+			queue = core.NewSWJumpQueue(a, btQueue, 0, p.EffectiveInterval(), btJump)
 		}
 
 		// descend runs a root-to-leaf point lookup.
@@ -193,9 +193,9 @@ func btreeKernel(p Params) func(*ir.Asm) {
 			leaf := start
 			for i := 0; i < leavesToScan && !leaf.IsNil(); i++ {
 				if idiom == core.IdiomQueue {
-					if coop && p.prefetchOn() {
+					if coop && p.PrefetchOn() {
 						a.Prefetch(btIdiom, leaf, btJump, ir.FJumpChase)
-					} else if p.prefetchOn() {
+					} else if p.PrefetchOn() {
 						a.Overhead(func() {
 							j := a.Load(btIdiom, leaf, btJump, 0)
 							a.Prefetch(btIdiom+1, j, 0, 0)
@@ -222,17 +222,17 @@ func btreeKernel(p Params) func(*ir.Asm) {
 		// pointers installed by the previous scan over it.
 		hot := make([]int, 8)
 		for i := range hot {
-			hot[i] = r.intn(len(leaves))
+			hot[i] = r.Intn(len(leaves))
 		}
 		for s := 0; s < cfg.scans; s++ {
 			for q := 0; q < cfg.points/cfg.scans; q++ {
-				descend(keys[r.intn(len(keys))])
+				descend(keys[r.Intn(len(keys))])
 			}
 			var startIdx int
-			if r.intn(4) != 0 {
-				startIdx = hot[r.intn(len(hot))]
+			if r.Intn(4) != 0 {
+				startIdx = hot[r.Intn(len(hot))]
 			} else {
-				startIdx = r.intn(len(leaves))
+				startIdx = r.Intn(len(leaves))
 			}
 			if queue != nil {
 				// A fresh queue per scan: jump pointers never cross scan

@@ -81,8 +81,8 @@ func em3dSizes(s Size) em3dCfg {
 
 func em3dKernel(p Params) func(*ir.Asm) {
 	cfg := em3dSizes(p.Size)
-	idiom := p.swIdiom(core.IdiomQueue)
-	coop := p.coop()
+	idiom := p.SWIdiom(core.IdiomQueue)
+	coop := p.Coop()
 	// Full jumping needs a jump slot per from-pointer beyond the block's
 	// padding, doubling the block class — the footprint cost the paper
 	// measures as a distinct-block increase on em3d (§3.1).
@@ -92,14 +92,14 @@ func em3dKernel(p Params) func(*ir.Asm) {
 	}
 
 	return func(a *ir.Asm) {
-		r := newRNG(0x517cc1b7)
+		r := NewRNG(0x517cc1b7)
 
 		// ---- build both sides ----
 		buildSide := func(arena heap.ArenaID) []ir.Val {
 			nodes := make([]ir.Val, cfg.nodes)
 			for i := range nodes {
 				nodes[i] = a.MallocIn(arena, nodeBytes)
-				a.Store(esBuild, nodes[i], emValue, ir.Imm(r.next()%1000))
+				a.Store(esBuild, nodes[i], emValue, ir.Imm(r.Next()%1000))
 			}
 			for i := 0; i+1 < len(nodes); i++ {
 				a.Store(esBuild+1, nodes[i], emNext, nodes[i+1])
@@ -112,9 +112,9 @@ func em3dKernel(p Params) func(*ir.Asm) {
 		link := func(from, to []ir.Val) {
 			for _, n := range from {
 				for k := 0; k < emK; k++ {
-					t := to[r.intn(len(to))]
+					t := to[r.Intn(len(to))]
 					a.Store(esBuild+2, n, uint32(emFrom+4*k), t)
-					a.Store(esBuild+3, n, uint32(emCoeff+4*k), ir.Imm(r.next()%100))
+					a.Store(esBuild+3, n, uint32(emCoeff+4*k), ir.Imm(r.Next()%100))
 				}
 			}
 		}
@@ -123,7 +123,7 @@ func em3dKernel(p Params) func(*ir.Asm) {
 
 		var queue *core.SWJumpQueue
 		if idiom == core.IdiomQueue || idiom == core.IdiomFull {
-			queue = core.NewSWJumpQueue(a, esQueue, 0, p.interval(), emJump)
+			queue = core.NewSWJumpQueue(a, esQueue, 0, p.EffectiveInterval(), emJump)
 		}
 
 		// ---- compute_nodes over one side ----
@@ -133,9 +133,9 @@ func em3dKernel(p Params) func(*ir.Asm) {
 				// Prefetching idiom at loop top.
 				switch idiom {
 				case core.IdiomQueue:
-					if coop && p.prefetchOn() {
+					if coop && p.PrefetchOn() {
 						a.Prefetch(esIdiom, node, emJump, ir.FJumpChase)
-					} else if p.prefetchOn() {
+					} else if p.PrefetchOn() {
 						a.Overhead(func() {
 							j := a.Load(esIdiom, node, emJump, 0)
 							a.Prefetch(esIdiom+1, j, 0, 0)
@@ -143,12 +143,12 @@ func em3dKernel(p Params) func(*ir.Asm) {
 						})
 					}
 				case core.IdiomFull:
-					if coop && p.prefetchOn() {
+					if coop && p.PrefetchOn() {
 						a.Prefetch(esIdiom, node, emJump, ir.FJumpChase)
 						for k := 0; k < emK; k++ {
 							a.Prefetch(esIdiom+2, node, uint32(64+4*k), ir.FJumpChase)
 						}
-					} else if p.prefetchOn() {
+					} else if p.PrefetchOn() {
 						a.Overhead(func() {
 							j := a.Load(esIdiom, node, emJump, 0)
 							a.Prefetch(esIdiom+1, j, 0, 0)

@@ -17,17 +17,17 @@ func TestSpmvComputesTheProduct(t *testing.T) {
 		img, _ := runForImage(t, b, Params{Scheme: scheme, Size: SizeTest})
 		cfg := spmvSizes(SizeTest)
 		// Replay the deterministic build to compute a reference.
-		r := newRNG(0x1b873593)
+		r := NewRNG(0x1b873593)
 		x := make([]uint32, cfg.rows)
 		for i := range x {
-			x[i] = r.next() % 100
+			x[i] = r.Next() % 100
 		}
 		type elem struct{ v, col uint32 }
 		rows := make([][]elem, cfg.rows)
 		for i := range rows {
 			for e := 0; e < cfg.nnzPerRow; e++ {
-				v := r.next()%50 + 1
-				c := uint32(4 * r.intn(cfg.rows))
+				v := r.Next()%50 + 1
+				c := uint32(4 * r.Intn(cfg.rows))
 				// Elements are pushed at the head, so traversal order is
 				// reversed; addition is commutative, order is irrelevant.
 				rows[i] = append(rows[i], elem{v: v, col: c / 4})

@@ -31,11 +31,11 @@ func TestTreeaddComputesTheSum(t *testing.T) {
 		// The kernel stores the grand total at GlobalBase+0x100.  Sizes
 		// and the RNG are deterministic: recompute the expected value.
 		depth, passes := treeaddSizes(SizeTest)
-		r := newRNG(0xabcdef)
+		r := NewRNG(0xabcdef)
 		var sum uint32
 		var count func(d int)
 		count = func(d int) {
-			sum += r.next() % 100
+			sum += r.Next() % 100
 			if d > 1 {
 				count(d - 1)
 				count(d - 1)

@@ -86,15 +86,15 @@ func healthSizes(s Size) healthCfg {
 
 func healthKernel(p Params) func(*ir.Asm) {
 	cfg := healthSizes(p.Size)
-	idiom := p.swIdiom(core.IdiomChain)
-	coop := p.coop()
+	idiom := p.SWIdiom(core.IdiomChain)
+	coop := p.Coop()
 	nodeBytes := uint32(12)
 	if idiom == core.IdiomFull {
 		nodeBytes = 20 // room for the second jump-pointer
 	}
 
 	return func(a *ir.Asm) {
-		r := newRNG(0x9e3779b9)
+		r := NewRNG(0x9e3779b9)
 
 		// ---- build: villages in post-order (the visit order) ----
 		// Each village is a locality domain with its own arena, as in
@@ -125,8 +125,8 @@ func healthKernel(p Params) func(*ir.Asm) {
 			ar := arenaOf[v.U32()]
 			n := a.MallocIn(ar, nodeBytes)
 			pt := a.MallocIn(ar, 20) // time, id, hosps, ... -> class 32
-			a.Store(hsAdd, pt, hpTime, ir.Imm(uint32(r.intn(8))))
-			a.Store(hsAdd+1, pt, hpID, ir.Imm(r.next()))
+			a.Store(hsAdd, pt, hpTime, ir.Imm(uint32(r.Intn(8))))
+			a.Store(hsAdd+1, pt, hpID, ir.Imm(r.Next()))
 			a.Store(hsAdd+2, n, hlPatient, pt)
 			head := a.Load(hsAdd+3, v, hvWaiting, ir.FLDS)
 			a.Store(hsAdd+4, n, hlForward, head)
@@ -141,7 +141,7 @@ func healthKernel(p Params) func(*ir.Asm) {
 		// Software jump-pointer machinery (chain/queue/full idioms).
 		var queue *core.SWJumpQueue
 		if idiom == core.IdiomChain || idiom == core.IdiomQueue || idiom == core.IdiomFull {
-			queue = core.NewSWJumpQueue(a, hsQueue, 0, p.interval(), hlJump)
+			queue = core.NewSWJumpQueue(a, hsQueue, 0, p.EffectiveInterval(), hlJump)
 		}
 
 		// ---- simulation timesteps ----
@@ -166,13 +166,13 @@ func healthKernel(p Params) func(*ir.Asm) {
 // are replaced with fresh admissions after the scan (keeping list
 // length stationary while churning the allocations).
 func healthWalkList(a *ir.Asm, p Params, idiom core.Idiom, coop bool,
-	queue *core.SWJumpQueue, v, nextV ir.Val, r *rng, cfg healthCfg,
+	queue *core.SWJumpQueue, v, nextV ir.Val, r *RNG, cfg healthCfg,
 	addPatient func(ir.Val)) {
 
 	// Root jumping: grab the next village's list root up front and
 	// chain along it while this list is processed (paper Figure 2(e)).
 	var rootJ ir.Val
-	if idiom == core.IdiomRoot && !nextV.IsNil() && p.prefetchOn() {
+	if idiom == core.IdiomRoot && !nextV.IsNil() && p.PrefetchOn() {
 		if coop {
 			a.Prefetch(hsIdiom2, nextV, hvWaiting, ir.FJumpChase)
 		} else {
@@ -190,7 +190,7 @@ func healthWalkList(a *ir.Asm, p Params, idiom core.Idiom, coop bool,
 
 	for !l.IsNil() {
 		// ---- prefetching idiom code at loop top ----
-		if !p.prefetchOn() {
+		if !p.PrefetchOn() {
 			goto body
 		}
 		switch idiom {
@@ -276,7 +276,7 @@ func healthWalkList(a *ir.Asm, p Params, idiom core.Idiom, coop bool,
 		}
 
 		nxt := a.Load(hsWalk+6, l, hlForward, ir.FLDS)
-		remove := r.intn(cfg.mutateDenom) == 0
+		remove := r.Intn(cfg.mutateDenom) == 0
 		a.Branch(hsMut, remove, hsMut+2, t2, ir.Val{})
 		if remove {
 			if prev.IsNil() {

@@ -72,11 +72,11 @@ func mstHash(key, buckets int) int { return (key*31 + 17) % buckets }
 
 func mstKernel(p Params) func(*ir.Asm) {
 	cfg := mstSizes(p.Size)
-	idiom := p.swIdiom(core.IdiomRoot)
-	coop := p.coop()
+	idiom := p.SWIdiom(core.IdiomRoot)
+	coop := p.Coop()
 
 	return func(a *ir.Asm) {
-		r := newRNG(0x2545f491)
+		r := NewRNG(0x2545f491)
 
 		// ---- build: per-vertex hash tables of edge weights ----
 		// Each vertex's table is a bucket-pointer array plus chain
@@ -92,7 +92,7 @@ func mstKernel(p Params) func(*ir.Asm) {
 				b := uint32(4 * mstHash(u, cfg.buckets))
 				n := a.MallocIn(ar, 12)
 				a.Store(msBuild, n, meKey, ir.Imm(uint32(u)))
-				a.Store(msBuild+1, n, meWeight, ir.Imm(r.next()%1000+1))
+				a.Store(msBuild+1, n, meWeight, ir.Imm(r.Next()%1000+1))
 				head := a.Load(msBuild+2, tables[v], b, ir.FLDS)
 				a.Store(msBuild+3, n, meNext, head)
 				a.Store(msBuild+4, tables[v], b, n)
@@ -105,7 +105,7 @@ func mstKernel(p Params) func(*ir.Asm) {
 		// reason root jumping wins on mst (Figure 4).
 		var queue *core.SWJumpQueue
 		if idiom == core.IdiomQueue {
-			queue = core.NewSWJumpQueue(a, msQueue, 0, p.interval(), 12)
+			queue = core.NewSWJumpQueue(a, msQueue, 0, p.EffectiveInterval(), 12)
 		}
 
 		// hashLookup scans table[v]'s chain for key, returning the
@@ -121,9 +121,9 @@ func mstKernel(p Params) func(*ir.Asm) {
 
 			var chainJ ir.Val
 			if idiom == core.IdiomRoot && !nextTable.IsNil() {
-				if coop && p.prefetchOn() {
+				if coop && p.PrefetchOn() {
 					a.Prefetch(msIdiom, nextTable, nextOff, ir.FJumpChase)
-				} else if p.prefetchOn() {
+				} else if p.PrefetchOn() {
 					a.Overhead(func() {
 						chainJ = a.Load(msIdiom, nextTable, nextOff, 0)
 						a.Prefetch(msIdiom+1, chainJ, 0, 0)
@@ -143,9 +143,9 @@ func mstKernel(p Params) func(*ir.Asm) {
 					})
 				}
 				if idiom == core.IdiomQueue {
-					if coop && p.prefetchOn() {
+					if coop && p.PrefetchOn() {
 						a.Prefetch(msIdiom+4, n, 12, ir.FJumpChase)
-					} else if p.prefetchOn() {
+					} else if p.PrefetchOn() {
 						a.Overhead(func() {
 							j := a.Load(msIdiom+4, n, 12, 0)
 							a.Prefetch(msIdiom+5, j, 0, 0)

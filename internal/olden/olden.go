@@ -90,18 +90,22 @@ type Params struct {
 	CreationOnly bool
 }
 
-// prefetchOn reports whether idiom prefetch code should be emitted.
-func (p Params) prefetchOn() bool { return !p.CreationOnly }
+// PrefetchOn reports whether idiom prefetch code should be emitted.
+func (p Params) PrefetchOn() bool { return !p.CreationOnly }
 
-func (p Params) interval() int {
+// EffectiveInterval is the jump-pointer distance in force: Interval, or
+// core.DefaultInterval when it is unset.
+func (p Params) EffectiveInterval() int {
 	if p.Interval <= 0 {
 		return core.DefaultInterval
 	}
 	return p.Interval
 }
 
-// sw reports whether the kernel must emit idiom code.
-func (p Params) swIdiom(def core.Idiom) core.Idiom {
+// SWIdiom resolves the idiom the kernel must emit code for (def when
+// Idiom is unset), or core.IdiomNone when the scheme needs no software
+// transformation.
+func (p Params) SWIdiom(def core.Idiom) core.Idiom {
 	if !p.Scheme.UsesSoftwareIdiom() {
 		return core.IdiomNone
 	}
@@ -111,10 +115,10 @@ func (p Params) swIdiom(def core.Idiom) core.Idiom {
 	return p.Idiom
 }
 
-// coop reports whether chained prefetching is done by hardware, so the
+// Coop reports whether chained prefetching is done by hardware, so the
 // kernel emits streamlined jump-pointer prefetches (ir.FJumpChase) and
 // omits software chained prefetches.
-func (p Params) coop() bool { return p.Scheme == core.SchemeCooperative }
+func (p Params) Coop() bool { return p.Scheme == core.SchemeCooperative }
 
 // Benchmark describes one suite member.
 type Benchmark struct {
@@ -135,14 +139,6 @@ type Benchmark struct {
 	Extension bool
 	// Kernel builds the workload for the given parameters.
 	Kernel func(p Params) func(*ir.Asm)
-}
-
-// DefaultIdiom returns the representative idiom.
-func (b *Benchmark) DefaultIdiom() core.Idiom {
-	if len(b.Idioms) == 0 {
-		return core.IdiomNone
-	}
-	return b.Idioms[0]
 }
 
 var registry = map[string]*Benchmark{}
@@ -193,25 +189,28 @@ func Suite() []*Benchmark {
 	return out
 }
 
-// rng is a small deterministic xorshift generator so workloads are
-// reproducible without pulling in math/rand state.
-type rng uint64
+// RNG is a small deterministic xorshift generator so workloads are
+// reproducible without pulling in math/rand state.  Both workload
+// families (olden and kernels) draw from it.
+type RNG uint64
 
-func newRNG(seed uint64) *rng {
-	r := rng(seed*2685821657736338717 + 1)
+// NewRNG seeds a generator.
+func NewRNG(seed uint64) *RNG {
+	r := RNG(seed*2685821657736338717 + 1)
 	return &r
 }
 
-func (r *rng) next() uint32 {
+// Next returns the next 32-bit draw.
+func (r *RNG) Next() uint32 {
 	x := uint64(*r)
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17
-	*r = rng(x)
+	*r = RNG(x)
 	return uint32(x >> 32)
 }
 
-// intn returns a value in [0, n).
-func (r *rng) intn(n int) int {
-	return int(r.next() % uint32(n))
+// Intn returns a value in [0, n).
+func (r *RNG) Intn(n int) int {
+	return int(r.Next() % uint32(n))
 }

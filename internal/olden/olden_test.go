@@ -163,10 +163,10 @@ func TestDefaultSizeIsFull(t *testing.T) {
 }
 
 func TestRNGDeterministicAndSpread(t *testing.T) {
-	r1, r2 := newRNG(7), newRNG(7)
+	r1, r2 := NewRNG(7), NewRNG(7)
 	buckets := map[int]int{}
 	for i := 0; i < 1000; i++ {
-		a, b := r1.next(), r2.next()
+		a, b := r1.Next(), r2.Next()
 		if a != b {
 			t.Fatal("rng not deterministic")
 		}

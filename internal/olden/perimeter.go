@@ -54,15 +54,15 @@ func perimeterSizes(s Size) (depth int) {
 
 func perimeterKernel(p Params) func(*ir.Asm) {
 	depth := perimeterSizes(p.Size)
-	idiom := p.swIdiom(core.IdiomQueue)
-	coop := p.coop()
+	idiom := p.SWIdiom(core.IdiomQueue)
+	coop := p.Coop()
 
 	return func(a *ir.Asm) {
-		r := newRNG(0x94d049bb)
+		r := NewRNG(0x94d049bb)
 
 		var queue *core.SWJumpQueue
 		if idiom == core.IdiomQueue {
-			queue = core.NewSWJumpQueue(a, psQueue, 0, p.interval(), pqJump)
+			queue = core.NewSWJumpQueue(a, psQueue, 0, p.EffectiveInterval(), pqJump)
 		}
 
 		// ---- build: random image, grey nodes subdivide ----
@@ -77,9 +77,9 @@ func perimeterKernel(p Params) func(*ir.Asm) {
 			}
 			// Upper levels always subdivide (a realistic image is not a
 			// single pixel); deeper regions go uniform at random.
-			if d == 0 || (d <= depth-3 && r.intn(4) == 0) {
+			if d == 0 || (d <= depth-3 && r.Intn(4) == 0) {
 				// Leaf: black or white.
-				a.Store(psBuild, n, pqColor, ir.Imm(uint32(1+r.intn(2))))
+				a.Store(psBuild, n, pqColor, ir.Imm(uint32(1+r.Intn(2))))
 				return n
 			}
 			a.Store(psBuild+1, n, pqColor, ir.Imm(0)) // grey
@@ -95,9 +95,9 @@ func perimeterKernel(p Params) func(*ir.Asm) {
 		var walk func(n ir.Val) ir.Val
 		walk = func(n ir.Val) ir.Val {
 			if idiom == core.IdiomQueue {
-				if coop && p.prefetchOn() {
+				if coop && p.PrefetchOn() {
 					a.Prefetch(psIdiom, n, pqJump, ir.FJumpChase)
-				} else if p.prefetchOn() {
+				} else if p.PrefetchOn() {
 					a.Overhead(func() {
 						j := a.Load(psIdiom, n, pqJump, 0)
 						a.Prefetch(psIdiom+1, j, 0, 0)

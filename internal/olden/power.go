@@ -63,16 +63,16 @@ func powerSizes(s Size) powerCfg {
 
 func powerKernel(p Params) func(*ir.Asm) {
 	cfg := powerSizes(p.Size)
-	idiom := p.swIdiom(core.IdiomQueue)
-	coop := p.coop()
+	idiom := p.SWIdiom(core.IdiomQueue)
+	coop := p.Coop()
 
 	return func(a *ir.Asm) {
-		r := newRNG(0x2fcf2d31)
+		r := NewRNG(0x2fcf2d31)
 
 		// ---- build the distribution tree as sibling lists ----
 		makeNode := func() ir.Val {
 			n := a.Malloc(28)
-			a.Store(pwBuild, n, pwValue, ir.Imm(r.next()%1000+1))
+			a.Store(pwBuild, n, pwValue, ir.Imm(r.Next()%1000+1))
 			return n
 		}
 		var level func(count, depth int) ir.Val
@@ -108,7 +108,7 @@ func powerKernel(p Params) func(*ir.Asm) {
 
 		var queue *core.SWJumpQueue
 		if idiom == core.IdiomQueue {
-			queue = core.NewSWJumpQueue(a, pwQueue, 0, p.interval(), pwJump)
+			queue = core.NewSWJumpQueue(a, pwQueue, 0, p.EffectiveInterval(), pwJump)
 		}
 
 		// compute walks sibling lists depth-first, performing the
@@ -119,9 +119,9 @@ func powerKernel(p Params) func(*ir.Asm) {
 			sum := ir.Val{}
 			for !n.IsNil() {
 				if idiom == core.IdiomQueue {
-					if coop && p.prefetchOn() {
+					if coop && p.PrefetchOn() {
 						a.Prefetch(pwIdiom, n, pwJump, ir.FJumpChase)
-					} else if p.prefetchOn() {
+					} else if p.PrefetchOn() {
 						a.Overhead(func() {
 							j := a.Load(pwIdiom, n, pwJump, 0)
 							a.Prefetch(pwIdiom+1, j, 0, 0)

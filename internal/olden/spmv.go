@@ -67,17 +67,17 @@ func spmvSizes(s Size) spmvCfg {
 
 func spmvKernel(p Params) func(*ir.Asm) {
 	cfg := spmvSizes(p.Size)
-	idiom := p.swIdiom(core.IdiomQueue)
-	coop := p.coop()
+	idiom := p.SWIdiom(core.IdiomQueue)
+	coop := p.Coop()
 
 	return func(a *ir.Asm) {
-		r := newRNG(0x1b873593)
+		r := NewRNG(0x1b873593)
 
 		// Dense vectors in the global data area.
 		xBase := uint32(0x2000)
 		yBase := xBase + uint32(4*cfg.rows)
 		for i := 0; i < cfg.rows; i++ {
-			a.StoreGlobal(svBuild, xBase+uint32(4*i), ir.Imm(r.next()%100))
+			a.StoreGlobal(svBuild, xBase+uint32(4*i), ir.Imm(r.Next()%100))
 		}
 
 		// Row chains, one arena per row band for page locality.  Rows
@@ -91,10 +91,10 @@ func spmvKernel(p Params) func(*ir.Asm) {
 			var head ir.Val
 			for e := 0; e < cfg.nnzPerRow; e++ {
 				n := a.MallocIn(band, 12)
-				a.Store(svBuild+1, n, svValue, ir.Imm(r.next()%50+1))
+				a.Store(svBuild+1, n, svValue, ir.Imm(r.Next()%50+1))
 				// col holds the byte offset into x (index*4), the form
 				// compiled code keeps for indexed addressing.
-				a.Store(svBuild+2, n, svCol, ir.Imm(uint32(4*r.intn(cfg.rows))))
+				a.Store(svBuild+2, n, svCol, ir.Imm(uint32(4*r.Intn(cfg.rows))))
 				a.Store(svBuild+3, n, svNext, head)
 				head = n
 			}
@@ -103,7 +103,7 @@ func spmvKernel(p Params) func(*ir.Asm) {
 
 		var queue *core.SWJumpQueue
 		if idiom == core.IdiomQueue {
-			queue = core.NewSWJumpQueue(a, svQueue, 0, p.interval(), svJump)
+			queue = core.NewSWJumpQueue(a, svQueue, 0, p.EffectiveInterval(), svJump)
 		}
 
 		// ---- y = A*x, iterated ----
@@ -113,9 +113,9 @@ func spmvKernel(p Params) func(*ir.Asm) {
 				e := rowHeads[i]
 				for !e.IsNil() {
 					if idiom == core.IdiomQueue {
-						if coop && p.prefetchOn() {
+						if coop && p.PrefetchOn() {
 							a.Prefetch(svIdiom, e, svJump, ir.FJumpChase)
-						} else if p.prefetchOn() {
+						} else if p.PrefetchOn() {
 							a.Overhead(func() {
 								j := a.Load(svIdiom, e, svJump, 0)
 								a.Prefetch(svIdiom+1, j, 0, 0)

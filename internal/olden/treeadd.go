@@ -59,17 +59,17 @@ func treeaddSizes(s Size) (depth, passes int) {
 
 func treeaddKernel(p Params) func(*ir.Asm) {
 	depth, passes := treeaddSizes(p.Size)
-	idiom := p.swIdiom(core.IdiomQueue)
-	coop := p.coop()
+	idiom := p.SWIdiom(core.IdiomQueue)
+	coop := p.Coop()
 
 	return func(a *ir.Asm) {
-		r := newRNG(0xabcdef)
+		r := NewRNG(0xabcdef)
 
 		// ---- build (same recursive order as the traversal) ----
 		var build func(d int) ir.Val
 		build = func(d int) ir.Val {
 			n := a.Malloc(20)
-			a.Store(tsBuild, n, taValue, ir.Imm(r.next()%100))
+			a.Store(tsBuild, n, taValue, ir.Imm(r.Next()%100))
 			if d > 1 {
 				l := build(d - 1)
 				rt := build(d - 1)
@@ -82,7 +82,7 @@ func treeaddKernel(p Params) func(*ir.Asm) {
 
 		var queue *core.SWJumpQueue
 		if idiom == core.IdiomQueue {
-			queue = core.NewSWJumpQueue(a, tsQueue, 0, p.interval(), taJump)
+			queue = core.NewSWJumpQueue(a, tsQueue, 0, p.EffectiveInterval(), taJump)
 		}
 
 		// ---- passes ----
@@ -91,9 +91,9 @@ func treeaddKernel(p Params) func(*ir.Asm) {
 			// Prefetch the node queued `interval` visits ago's
 			// successor: jump-pointer prefetch at visit.
 			if idiom == core.IdiomQueue {
-				if coop && p.prefetchOn() {
+				if coop && p.PrefetchOn() {
 					a.Prefetch(tsIdiom, n, taJump, ir.FJumpChase)
-				} else if p.prefetchOn() {
+				} else if p.PrefetchOn() {
 					a.Overhead(func() {
 						j := a.Load(tsIdiom, n, taJump, 0)
 						a.Prefetch(tsIdiom+1, j, 0, 0)

@@ -58,25 +58,25 @@ func tspSizes(s Size) (cities int) {
 
 func tspKernel(p Params) func(*ir.Asm) {
 	cities := tspSizes(p.Size)
-	idiom := p.swIdiom(core.IdiomQueue)
-	coop := p.coop()
+	idiom := p.SWIdiom(core.IdiomQueue)
+	coop := p.Coop()
 	const nodeBytes = uint32(20)
 	_ = idiom
 
 	return func(a *ir.Asm) {
-		r := newRNG(0xd6e8feb8)
+		r := NewRNG(0xd6e8feb8)
 
 		var queue *core.SWJumpQueue
 		if idiom == core.IdiomQueue {
-			queue = core.NewSWJumpQueue(a, tpQueue, 0, p.interval(), tcJump)
+			queue = core.NewSWJumpQueue(a, tpQueue, 0, p.EffectiveInterval(), tcJump)
 		}
 
 		// ---- build cities ----
 		nodes := make([]ir.Val, cities)
 		for i := range nodes {
 			nodes[i] = a.Malloc(nodeBytes)
-			a.Store(tpBuild, nodes[i], tcX, ir.Imm(r.next()%10000))
-			a.Store(tpBuild+1, nodes[i], tcY, ir.Imm(r.next()%10000))
+			a.Store(tpBuild, nodes[i], tcX, ir.Imm(r.Next()%10000))
+			a.Store(tpBuild+1, nodes[i], tcY, ir.Imm(r.Next()%10000))
 		}
 
 		// makeTour recursively splits the city slice and splices the
@@ -105,9 +105,9 @@ func tspKernel(p Params) func(*ir.Asm) {
 			steps := (mid - lo) % 7
 			for s := 0; s < steps; s++ {
 				if idiom == core.IdiomQueue {
-					if coop && p.prefetchOn() {
+					if coop && p.PrefetchOn() {
 						a.Prefetch(tpIdiom, cur, tcJump, ir.FJumpChase)
-					} else if p.prefetchOn() {
+					} else if p.PrefetchOn() {
 						a.Overhead(func() {
 							j := a.Load(tpIdiom, cur, tcJump, 0)
 							a.Prefetch(tpIdiom+1, j, 0, 0)
@@ -138,9 +138,9 @@ func tspKernel(p Params) func(*ir.Asm) {
 		cur := head
 		for i := 0; i < cities; i++ {
 			if idiom == core.IdiomQueue {
-				if coop && p.prefetchOn() {
+				if coop && p.PrefetchOn() {
 					a.Prefetch(tpIdiom+2, cur, tcJump, ir.FJumpChase)
-				} else if p.prefetchOn() {
+				} else if p.PrefetchOn() {
 					a.Overhead(func() {
 						j := a.Load(tpIdiom+2, cur, tcJump, 0)
 						a.Prefetch(tpIdiom+3, j, 0, 0)
@@ -154,7 +154,7 @@ func tspKernel(p Params) func(*ir.Asm) {
 				break
 			}
 			nxx := a.Load(tpWalk+8, nx, tcX, ir.FLDS)
-			swap := x.U32() > nxx.U32() && r.intn(4) == 0
+			swap := x.U32() > nxx.U32() && r.Intn(4) == 0
 			a.Branch(tpMerge+2, swap, tpMerge+3, x, nxx)
 			if swap && i+2 < cities {
 				// Relink: cur <-> nx swap in the cycle.

@@ -56,24 +56,24 @@ func voronoiSizes(s Size) (points int) {
 
 func voronoiKernel(p Params) func(*ir.Asm) {
 	points := voronoiSizes(p.Size)
-	idiom := p.swIdiom(core.IdiomQueue)
-	coop := p.coop()
+	idiom := p.SWIdiom(core.IdiomQueue)
+	coop := p.Coop()
 
 	return func(a *ir.Asm) {
-		r := newRNG(0x853c49e6)
+		r := NewRNG(0x853c49e6)
 
 		// ---- the point array (static data area): the real miss source ----
 		arrBase := uint32(0x10000)
 		for i := 0; i < points; i++ {
-			a.StoreGlobal(vsBuild, arrBase+uint32(8*i), ir.Imm(r.next()%100000))
-			a.StoreGlobal(vsBuild+1, arrBase+uint32(8*i+4), ir.Imm(r.next()%100000))
+			a.StoreGlobal(vsBuild, arrBase+uint32(8*i), ir.Imm(r.Next()%100000))
+			a.StoreGlobal(vsBuild+1, arrBase+uint32(8*i+4), ir.Imm(r.Next()%100000))
 		}
 
 		// ---- a modest linked edge list (the LDS that JPP targets) ----
 		edges := make([]ir.Val, 0, points/16)
 		for i := 0; i < points/16; i++ {
 			e := a.Malloc(12)
-			a.Store(vsEdge, e, voOrig, ir.Imm(r.next()))
+			a.Store(vsEdge, e, voOrig, ir.Imm(r.Next()))
 			edges = append(edges, e)
 		}
 		for i := 0; i+1 < len(edges); i++ {
@@ -82,7 +82,7 @@ func voronoiKernel(p Params) func(*ir.Asm) {
 
 		var queue *core.SWJumpQueue
 		if idiom == core.IdiomQueue {
-			queue = core.NewSWJumpQueue(a, vsQueue, 0, p.interval(), voJump)
+			queue = core.NewSWJumpQueue(a, vsQueue, 0, p.EffectiveInterval(), voJump)
 		}
 
 		// Recursive divide-and-conquer sweeps: each level reads the
@@ -115,9 +115,9 @@ func voronoiKernel(p Params) func(*ir.Asm) {
 			cur := edges[0]
 			for i := 0; i < len(edges); i++ {
 				if idiom == core.IdiomQueue {
-					if coop && p.prefetchOn() {
+					if coop && p.PrefetchOn() {
 						a.Prefetch(vsIdiom, cur, voJump, ir.FJumpChase)
-					} else if p.prefetchOn() {
+					} else if p.PrefetchOn() {
 						a.Overhead(func() {
 							j := a.Load(vsIdiom, cur, voJump, 0)
 							a.Prefetch(vsIdiom+1, j, 0, 0)

@@ -196,20 +196,6 @@ type PrefetchStats struct {
 	UncoveredMisses uint64 `json:"uncovered_misses"`
 }
 
-// ByOutcome returns the count for outcome o.
-func (p PrefetchStats) ByOutcome(o Outcome) uint64 {
-	switch o {
-	case OutUsefulTimely:
-		return p.UsefulTimely
-	case OutUsefulLate:
-		return p.UsefulLate
-	case OutUseless:
-		return p.Useless
-	default:
-		return p.EvictedUnused
-	}
-}
-
 // add charges one prefetch to outcome o.
 func (p *PrefetchStats) add(o Outcome) {
 	switch o {
