@@ -93,11 +93,9 @@ type Engine struct {
 	prqHead int
 	prqLen  int
 
-	pending []arrival
-	// pendingMin caches the minimum done time across pending (exact;
-	// ^uint64(0) when pending is empty), so the per-cycle Tick and the
-	// core's NextEventAt query avoid scanning the queue.
-	pendingMin uint64
+	// arrivals holds the issued prefetches whose data has not yet
+	// reached the chaser.
+	arrivals arrivalQueue
 
 	queryQuota int
 	depBuf     []Dep // scratch for ChaseFrom's predictor queries
@@ -125,32 +123,21 @@ type cont struct {
 	depth int
 }
 
-type arrival struct {
-	done  uint64
-	addr  uint32
-	pc    uint32
-	depth int
-	// jumpWord marks the completion of a cooperative jump-pointer
-	// prefetch: the fetched word is a node pointer to chase and to
-	// register as a potential producer.
-	jumpWord bool
-}
-
 // NewEngine builds a DBP engine over the given hierarchy and heap.
 func NewEngine(cfg Config, hier *cache.Hierarchy, alloc *heap.Allocator) *Engine {
 	e := &Engine{
-		cfg:        cfg,
-		hier:       hier,
-		img:        alloc.Image(),
-		heap:       alloc,
-		lineMask:   ^uint32(hier.LineBytes() - 1),
-		ppw:        NewPPW(cfg.PPWEntries),
-		jumpPPW:    NewPPW(cfg.PPWEntries * 2),
-		dp:         NewDepPredictor(cfg.DPEntries, cfg.DPAssoc),
-		prq:        make([]prqReq, ceilPow2(cfg.PRQEntries)),
-		pendingMin: ^uint64(0),
+		cfg:      cfg,
+		hier:     hier,
+		img:      alloc.Image(),
+		heap:     alloc,
+		lineMask: ^uint32(hier.LineBytes() - 1),
+		ppw:      NewPPW(cfg.PPWEntries),
+		jumpPPW:  NewPPW(cfg.PPWEntries * 2),
+		dp:       NewDepPredictor(cfg.DPEntries, cfg.DPAssoc),
+		prq:      make([]prqReq, ceilPow2(cfg.PRQEntries)),
 	}
 	e.prqMask = len(e.prq) - 1
+	e.arrivals.init(hier.LineBytes())
 	return e
 }
 
@@ -249,17 +236,13 @@ func (e *Engine) EnqueuePrefetch(addr, pc uint32, depth int, origin Origin) {
 		}
 		return
 	}
-	// During Tick this scan also sees arrivals already processed in the
-	// same Tick (see the in-Tick dedup rule there).
-	for i := range e.pending {
-		a := &e.pending[i]
-		if a.jumpWord || a.addr&mask != line {
-			continue
-		}
+	// During Tick the match may be an arrival already processed in the
+	// same Tick (see arrivalQueue's in-Tick dedup rule).
+	if a := e.arrivals.match(line); a != nil {
 		e.s.DedupDrops++
 		e.s.DedupByOrigin[origin]++
 		if a.pc != pc || a.addr != addr {
-			e.addPending(arrival{
+			e.arrivals.add(arrival{
 				done: a.done, addr: addr, pc: pc, depth: depth,
 			})
 		}
@@ -272,14 +255,6 @@ func (e *Engine) EnqueuePrefetch(addr, pc uint32, depth int, origin Origin) {
 	e.prq[(e.prqHead+e.prqLen)&e.prqMask] = prqReq{addr: addr, pc: pc, depth: depth, origin: origin}
 	e.prqLen++
 	e.s.Requested++
-}
-
-// addPending enqueues an arrival, maintaining the cached minimum.
-func (e *Engine) addPending(a arrival) {
-	if a.done < e.pendingMin {
-		e.pendingMin = a.done
-	}
-	e.pending = append(e.pending, a)
 }
 
 // --- cpu.PrefetchEngine implementation -------------------------------
@@ -309,25 +284,26 @@ func (e *Engine) OnSWPrefetch(now uint64, d *ir.DynInst, done uint64) {
 	if d.Flags&ir.FJumpChase == 0 {
 		return
 	}
-	e.addPending(arrival{
+	e.arrivals.add(arrival{
 		done: done, addr: d.Addr, pc: d.PC, depth: 0, jumpWord: true,
 	})
 }
 
 // NextEventAt reports the earliest cycle strictly after now at which
 // the engine could act on its own: the next Tick when requests are
-// queued in the PRQ (or arrivals are already due), else the earliest
-// pending-prefetch completion.  ^uint64(0) means the engine is idle
-// until the core feeds it again.
+// queued in the PRQ (or arrivals are already due), else a lower bound
+// on the earliest pending-prefetch completion.  ^uint64(0) means the
+// engine is idle until the core feeds it again.
 func (e *Engine) NextEventAt(now uint64) uint64 {
-	if e.prqLen > 0 {
+	if e.prqLen > 0 || e.arrivals.hasDue() {
+		// Queued requests, or arrivals the query quota deferred.
 		return now + 1
 	}
-	if e.pendingMin <= now {
-		// Work already due, deferred by the query quota.
-		return now + 1
+	if b := e.arrivals.wheelMin; b > now {
+		return b
 	}
-	return e.pendingMin
+	// An arrival completes at now itself.
+	return now + 1
 }
 
 // Tick advances the engine one cycle: completed prefetches chase
@@ -335,43 +311,26 @@ func (e *Engine) NextEventAt(now uint64) uint64 {
 // the number of ports consumed.
 func (e *Engine) Tick(now uint64, freePorts int) int {
 	e.queryQuota = e.cfg.QueriesPerCycle
-	// Skip the compaction pass entirely on the (common) cycles where no
-	// arrival is due yet — the loop below would keep every entry.
-	if now < e.pendingMin {
-		if e.prqLen == 0 {
-			return 0
-		}
-		return e.issuePRQ(now, freePorts)
+	e.arrivals.advance(now)
+	if e.arrivals.hasDue() {
+		e.processArrivals()
 	}
+	if e.prqLen == 0 {
+		return 0
+	}
+	return e.issuePRQ(now, freePorts)
+}
 
-	// Process arrivals whose data is available.  Chasing can append new
-	// arrivals to e.pending (continuations of resident lines); indexing
-	// by position keeps the in-place compaction safe while the slice
-	// grows, and freshly appended entries (done = now+1) are kept for
-	// the next cycle.
-	//
-	// In-Tick dedup rule: until the loop ends, EnqueuePrefetch's pending
-	// scan sees the whole slice, so an arrival processed earlier in this
-	// Tick still dedups a request for its line — the request becomes a
-	// continuation with the processed arrival's (already past) done time,
-	// handled later in this same Tick if quota remains, rather than a
-	// PRQ request.  The processed arrival stays visible until a later
-	// kept entry is compacted into its slot.  The statistics and goldens
-	// depend on this rule; hiding processed arrivals changes them.
-	n := 0
-	kmin := ^uint64(0)
-	for i := 0; i < len(e.pending); i++ {
-		if d := e.pending[i].done; d > now || e.queryQuota <= 0 {
-			if n != i {
-				e.pending[n] = e.pending[i]
-			}
-			if d < kmin {
-				kmin = d
-			}
-			n++
-			continue
+// processArrivals chases the due arrivals, oldest first, while the
+// query quota lasts.  Chasing can append continuations of resident
+// lines; one with a past done is processed later in this same Tick if
+// quota remains.
+func (e *Engine) processArrivals() {
+	for e.queryQuota > 0 {
+		a, ok := e.arrivals.next()
+		if !ok {
+			break
 		}
-		a := e.pending[i]
 		value := e.img.ReadWord(a.addr)
 		if a.jumpWord {
 			// The fetched word is a pointer to a future node: remember
@@ -387,10 +346,7 @@ func (e *Engine) Tick(now uint64, freePorts int) int {
 		}
 		e.ChaseFrom(a.pc, value, a.depth)
 	}
-	e.pending = e.pending[:n]
-	e.pendingMin = kmin
-
-	return e.issuePRQ(now, freePorts)
+	e.arrivals.endTick()
 }
 
 // issuePRQ drains queued prefetch requests into idle cache ports.
@@ -412,11 +368,11 @@ func (e *Engine) issuePRQ(now uint64, freePorts int) int {
 		}
 		e.s.IssuedPrefetch++
 		e.s.IssuedByOrigin[r.origin]++
-		e.addPending(arrival{
+		e.arrivals.add(arrival{
 			done: res.Done, addr: r.addr, pc: r.pc, depth: r.depth,
 		})
 		for _, c := range r.conts[:r.nconts] {
-			e.addPending(arrival{
+			e.arrivals.add(arrival{
 				done: res.Done, addr: c.addr, pc: c.pc, depth: c.depth,
 			})
 		}

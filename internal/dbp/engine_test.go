@@ -192,8 +192,8 @@ func TestPiggybackContinuation(t *testing.T) {
 	}
 	r.eng.Tick(1, 2)
 	// Both arrivals pending now (same completion time).
-	if len(r.eng.pending) != 2 {
-		t.Fatalf("%d pending arrivals, want 2", len(r.eng.pending))
+	if got := r.eng.arrivals.len(); got != 2 {
+		t.Fatalf("%d pending arrivals, want 2", got)
 	}
 }
 
@@ -232,12 +232,12 @@ func TestInTickDedupSeesProcessedArrivals(t *testing.T) {
 		r.eng.Image().WriteWord(y, x)
 		r.eng.DP().Insert(pcB, pcC, 4)
 
-		r.eng.addPending(arrival{done: 10, addr: x, pc: pcA})
+		r.eng.arrivals.add(arrival{done: 10, addr: x, pc: pcA})
 		if keepBetween {
 			// Not due at cycle 10: kept, and compacted into A's slot.
-			r.eng.addPending(arrival{done: 50, addr: r.nodes[16], pc: pcA})
+			r.eng.arrivals.add(arrival{done: 50, addr: r.nodes[16], pc: pcA})
 		}
-		r.eng.addPending(arrival{done: 10, addr: y, pc: pcB})
+		r.eng.arrivals.add(arrival{done: 10, addr: y, pc: pcB})
 		r.eng.Tick(10, 0) // no free ports: a PRQ request stays queued
 		return r.eng.Stats()
 	}
