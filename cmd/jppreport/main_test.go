@@ -59,10 +59,18 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	// A misspelt -bench must fail every filtering experiment, not
 	// render empty tables.
-	for _, id := range []string{"table1", "fig4", "fig5", "fig6", "costs", "shootout"} {
+	for _, id := range []string{"table1", "fig4", "fig5", "fig6", "fig7", "costs", "shootout"} {
 		err := run([]string{"-size", "test", "-exp", id, "-bench", "helth"}, &out)
 		if err == nil || !strings.Contains(err.Error(), `"helth"`) {
 			t.Errorf("-exp %s -bench helth: err = %v", id, err)
+		}
+	}
+	// Figures 4 and 7 cover fixed benchmarks: a -bench list naming none
+	// of them must fail and say which they cover.
+	for id, covered := range map[string]string{"fig4": "treeadd", "fig7": "health"} {
+		err := run([]string{"-size", "test", "-exp", id, "-bench", "bh"}, &out)
+		if err == nil || !strings.Contains(err.Error(), covered) {
+			t.Errorf("-exp %s -bench bh: err = %v, want one naming %s", id, err, covered)
 		}
 	}
 }

@@ -14,15 +14,10 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/bpred"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/dbp"
 	"repro/internal/harness"
-	"repro/internal/heap"
 	"repro/internal/ir"
-	"repro/internal/mem"
 	"repro/internal/olden"
 )
 
@@ -79,8 +74,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	b, ok := harness.BenchByName(*bench)
-	if !ok {
+	if _, ok := harness.BenchByName(*bench); !ok {
 		return fmt.Errorf("unknown benchmark %q", *bench)
 	}
 	var params olden.Params
@@ -92,28 +86,14 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	img := mem.NewImage()
-	alloc := heap.New(img)
-	memP := cache.Defaults()
-	memP.EnablePB = params.Scheme.UsesHardware()
-	hier := cache.New(memP)
-	pred := bpred.New(bpred.Defaults())
-
-	var eng cpu.PrefetchEngine
-	switch params.Scheme {
-	case core.SchemeHardware:
-		eng = core.NewHWEngine(dbp.Defaults(), core.DefaultHWConfig(), hier, alloc)
-	case core.SchemeDBP, core.SchemeCooperative:
-		eng = dbp.NewEngine(dbp.Defaults(), hier, alloc)
-	}
-
 	cfg := cpu.Defaults()
 	cfg.Tracer = &tracer{out: out, skip: *skip, limit: *n}
-	gen := ir.NewGen(alloc, b.Kernel(params))
-	c := cpu.New(cfg, hier, pred, eng)
 	fmt.Fprintf(out, "# %s / %v — seq, pc, class, dispatch cycle, issue/done deltas\n", *bench, params.Scheme)
-	stats := c.Run(gen)
+	res, err := harness.Run(harness.Spec{Bench: *bench, Params: params, CPU: &cfg})
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(out, "# run: %d cycles, %d instructions, IPC %.2f\n",
-		stats.Cycles, stats.Insts, stats.IPC())
+		res.CPU.Cycles, res.CPU.Insts, res.CPU.IPC())
 	return nil
 }

@@ -14,14 +14,10 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/bpred"
-	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/cpu"
-	"repro/internal/dbp"
-	"repro/internal/heap"
+	"repro/internal/harness"
 	"repro/internal/ir"
-	"repro/internal/mem"
+	"repro/internal/olden"
 )
 
 // Node layout: value(0) next(4) = 8 -> class 8 (no padding!), so we
@@ -82,27 +78,23 @@ func kernel(a *ir.Asm) {
 	}
 }
 
-func run(hw bool) uint64 {
-	img := mem.NewImage()
-	alloc := heap.New(img)
-	params := cache.Defaults()
-	params.EnablePB = hw
-	hier := cache.New(params)
-	pred := bpred.New(bpred.Defaults())
-
-	var eng cpu.PrefetchEngine
-	if hw {
-		eng = core.NewHWEngine(dbp.Defaults(), core.DefaultHWConfig(), hier, alloc)
+func run(scheme core.Scheme) uint64 {
+	// Spec.Kernel runs the workload through the same machine every
+	// registered benchmark gets; the scheme picks the prefetch engine.
+	res, err := harness.Run(harness.Spec{
+		Bench:  "customlds",
+		Params: olden.Params{Scheme: scheme},
+		Kernel: kernel,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	gen := ir.NewGen(alloc, kernel)
-	c := cpu.New(cpu.Defaults(), hier, pred, eng)
-	stats := c.Run(gen)
-	return stats.Cycles
+	return res.CPU.Cycles
 }
 
 func main() {
-	base := run(false)
-	hw := run(true)
+	base := run(core.SchemeNone)
+	hw := run(core.SchemeHardware)
 	fmt.Printf("custom scrambled-list walk (%d nodes x %d passes)\n", nodes, passes)
 	fmt.Printf("  no prefetching:   %d cycles\n", base)
 	fmt.Printf("  hardware JPP:     %d cycles (%.0f%% speedup, zero code changes)\n",

@@ -101,14 +101,11 @@ type Result struct {
 // Stats aggregates hierarchy counters.
 type Stats struct {
 	L1DAccesses, L1DMisses uint64
-	L1IAccesses, L1IMisses uint64
 	L2Accesses, L2Misses   uint64
-	DTLBMisses, ITLBMisses uint64
 
-	// L1L2Bytes is total traffic on the L1<->L2 bus, split by cause.
+	// L1L2Bytes is total traffic on the L1<->L2 bus, writebacks
+	// included.
 	L1L2Bytes          uint64
-	L1L2DemandBytes    uint64
-	L1L2PrefetchBytes  uint64
 	L1L2WritebackBytes uint64
 	MemBytes           uint64
 
@@ -117,9 +114,6 @@ type Stats struct {
 	// PBHitWaitSum accumulates cycles demand accesses spent waiting for
 	// in-flight prefetched lines (0 for fully timely prefetches).
 	PBHitWaitSum uint64
-	// DemandWaitSum accumulates the full wait (done - issue) of every
-	// demand access, the raw material of the memory-stall story.
-	DemandWaitSum uint64
 
 	DistinctL1Lines int
 }
@@ -360,8 +354,7 @@ func (h *Hierarchy) mshrAlloc(now uint64) (start uint64, slot int) {
 // fetchFromL2 runs the miss path below L1: L2 lookup, possibly memory,
 // and the L1-line transfer over the L1<->L2 bus.  It returns the cycle
 // the critical word reaches the L1 level and whether L2 missed.
-// prefetch attributes the bus traffic.
-func (h *Hierarchy) fetchFromL2(now uint64, addr uint32, prefetch bool) (uint64, bool) {
+func (h *Hierarchy) fetchFromL2(now uint64, addr uint32) (uint64, bool) {
 	h.s.L2Accesses++
 	tL2 := now + uint64(h.p.L2.LatCycles)
 	l2hit := h.l2.lookup(addr)
@@ -380,11 +373,6 @@ func (h *Hierarchy) fetchFromL2(now uint64, addr uint32, prefetch bool) (uint64,
 	}
 	first, _ := h.l1l2Bus.Transfer(tL2, h.p.L1D.LineBytes)
 	h.s.L1L2Bytes += uint64(h.p.L1D.LineBytes)
-	if prefetch {
-		h.s.L1L2PrefetchBytes += uint64(h.p.L1D.LineBytes)
-	} else {
-		h.s.L1L2DemandBytes += uint64(h.p.L1D.LineBytes)
-	}
 	return first, !l2hit
 }
 
@@ -401,16 +389,11 @@ func (h *Hierarchy) writebackL1(now uint64, victim uint32) {
 	// writeback allocates it there silently.
 }
 
-// AccessData performs a data-side access at cycle now.  Demand accesses
-// (loads and stores) additionally accumulate their wait time — measured
-// from the pre-translation request cycle — into DemandWaitSum at each
-// demand return path, which keeps this single function on the hot path
-// instead of a stats wrapper around it.
+// AccessData performs a data-side access at cycle now.
 func (h *Hierarchy) AccessData(now uint64, addr uint32, kind Kind) Result {
 	if h.p.PerfectData {
 		return Result{Done: now + 1}
 	}
-	t0 := now
 	line := h.l1d.lineAddr(addr)
 	demand := kind == KLoad || kind == KStore
 	if demand {
@@ -452,7 +435,6 @@ func (h *Hierarchy) AccessData(now uint64, addr uint32, kind Kind) Result {
 			// (direct L1 fills when the PB is disabled); first touch
 			// consumes it.
 			h.tr.Demand(line, now, false)
-			h.s.DemandWaitSum += done - t0
 		}
 		res.Done = done
 		return res
@@ -486,9 +468,6 @@ func (h *Hierarchy) AccessData(now uint64, addr uint32, kind Kind) Result {
 		if kind == KStore || kind == KJPStore {
 			h.l1d.setDirty(addr)
 		}
-		if demand {
-			h.s.DemandWaitSum += done - t0
-		}
 		res.Done = done
 		res.FromPB = true
 		return res
@@ -508,7 +487,6 @@ func (h *Hierarchy) AccessData(now uint64, addr uint32, kind Kind) Result {
 			// too.  Keep it simple: the requester just waits for the fill.
 			if demand {
 				h.tr.Demand(line, now, true)
-				h.s.DemandWaitSum += d - t0
 			}
 			res.Done = d
 			return res
@@ -517,7 +495,7 @@ func (h *Hierarchy) AccessData(now uint64, addr uint32, kind Kind) Result {
 
 	// True miss: allocate an MSHR and go below.
 	start, slot := h.mshrAlloc(now)
-	first, l2miss := h.fetchFromL2(start, addr, kind == KPref || kind == KJPStore)
+	first, l2miss := h.fetchFromL2(start, addr)
 	res.MissL2 = l2miss
 	h.mshr[slot] = first
 
@@ -548,7 +526,6 @@ func (h *Hierarchy) AccessData(now uint64, addr uint32, kind Kind) Result {
 		}
 		if demand {
 			h.tr.Demand(line, now, true)
-			h.s.DemandWaitSum += first - t0
 		}
 	}
 	h.insertInflight(now, line, first)
@@ -641,12 +618,10 @@ func (h *Hierarchy) DirtyL1(addr uint32) {
 func (h *Hierarchy) AccessInst(now uint64, pc uint32) (uint64, bool) {
 	ready, _ := h.itlb.Access(now, pc)
 	now = ready
-	h.s.L1IAccesses++
 	if h.l1i.lookup(pc) {
 		return now + uint64(h.p.L1I.LatCycles), false
 	}
-	h.s.L1IMisses++
-	first, _ := h.fetchFromL2(now, pc, false)
+	first, _ := h.fetchFromL2(now, pc)
 	h.l1i.fill(pc)
 	return first, true
 }
@@ -666,8 +641,6 @@ func (h *Hierarchy) PrefetchStats() stats.PrefetchStats {
 // Stats returns a snapshot of the hierarchy counters.
 func (h *Hierarchy) Stats() Stats {
 	s := h.s
-	_, s.DTLBMisses = h.dtlb.Stats()
-	_, s.ITLBMisses = h.itlb.Stats()
 	s.DistinctL1Lines = h.distinctCount
 	return s
 }

@@ -137,11 +137,6 @@ func (s Scheme) UsesSoftwareIdiom() bool {
 	return s == SchemeSoftware || s == SchemeCooperative
 }
 
-// UsesHardware reports whether a prefetch engine must be attached.
-func (s Scheme) UsesHardware() bool {
-	return s == SchemeDBP || s == SchemeCooperative || s == SchemeHardware
-}
-
 // Schemes lists all schemes in presentation order.
 func Schemes() []Scheme {
 	return []Scheme{SchemeNone, SchemeDBP, SchemeSoftware, SchemeCooperative, SchemeHardware}

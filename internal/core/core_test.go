@@ -236,6 +236,61 @@ func TestSWJumpQueueSitesFor(t *testing.T) {
 	}
 }
 
+// TestJumpPrefetchForms checks both forms of the jump-pointer prefetch
+// emitter: the cooperative form is a single FJumpChase prefetch of the
+// jump-pointer word at site; the software form is an overhead load of
+// that word at site and a prefetch of its target at site+1, and returns
+// the loaded pointer.
+func TestJumpPrefetchForms(t *testing.T) {
+	const site, jumpOff = 300, 12
+	for _, coop := range []bool{true, false} {
+		alloc := heap.New(mem.NewImage())
+		var node, target, ret ir.Val
+		g := ir.NewGen(alloc, func(a *ir.Asm) {
+			node, target = a.Malloc(16), a.Malloc(16)
+			a.Store(200, node, jumpOff, target)
+			ret = JumpPrefetch(a, site, node, jumpOff, coop)
+		})
+		var got []ir.DynInst
+		for d := g.Next(); d != nil; d = g.Next() {
+			if d.PC >= ir.SitePC(site) {
+				got = append(got, *d)
+			}
+		}
+		if coop {
+			if len(got) != 1 {
+				t.Fatalf("coop: emitted %d instructions, want 1", len(got))
+			}
+			d := got[0]
+			if d.Class != ir.Prefetch || d.PC != ir.SitePC(site) ||
+				d.Addr != node.U32()+jumpOff || d.Flags != ir.FJumpChase|ir.FOverhead {
+				t.Errorf("coop: got %+v, want an FJumpChase prefetch of %#x at site %d",
+					d, node.U32()+jumpOff, site)
+			}
+			if !ret.IsNil() {
+				t.Errorf("coop: returned %#x, want the zero Val", ret.U32())
+			}
+			continue
+		}
+		if len(got) != 2 {
+			t.Fatalf("sw: emitted %d instructions, want 2", len(got))
+		}
+		ld, pf := got[0], got[1]
+		if ld.Class != ir.Load || ld.PC != ir.SitePC(site) || ld.Addr != node.U32()+jumpOff ||
+			ld.Value != target.U32() || ld.Flags != ir.FOverhead {
+			t.Errorf("sw: first instruction %+v, want an overhead load of the jump pointer at site %d", ld, site)
+		}
+		if pf.Class != ir.Prefetch || pf.PC != ir.SitePC(site+1) || pf.Addr != target.U32() ||
+			pf.Src1 != ld.Seq || pf.Flags != ir.FOverhead {
+			t.Errorf("sw: second instruction %+v, want an overhead prefetch of the loaded %#x at site %d",
+				pf, target.U32(), site+1)
+		}
+		if ret.U32() != target.U32() {
+			t.Errorf("sw: returned %#x, want the loaded jump pointer %#x", ret.U32(), target.U32())
+		}
+	}
+}
+
 // buildHWRig wires a hardware engine over a synthetic list.
 func buildHWRig(t *testing.T, n int) (*HWEngine, *heap.Allocator, []uint32) {
 	t.Helper()
@@ -386,9 +441,6 @@ func TestSchemeAndIdiomStrings(t *testing.T) {
 	}
 	if !SchemeCooperative.UsesSoftwareIdiom() || SchemeHardware.UsesSoftwareIdiom() {
 		t.Fatal("UsesSoftwareIdiom wrong")
-	}
-	if !SchemeHardware.UsesHardware() || SchemeSoftware.UsesHardware() {
-		t.Fatal("UsesHardware wrong")
 	}
 	if len(Schemes()) != 5 {
 		t.Fatal("scheme list wrong")

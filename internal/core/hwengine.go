@@ -33,9 +33,7 @@ func DefaultHWConfig() HWConfig {
 type HWStats struct {
 	RecurrentPCs int
 	JPStores     uint64
-	JPStoreDrops uint64
 	JPLaunches   uint64
-	NoPadding    uint64
 	StaleTargets uint64
 }
 
@@ -119,14 +117,12 @@ func (h *HWEngine) storeJP(now uint64, home, target uint32) {
 	}
 	pad, ok := h.alloc.PaddingAddr(home)
 	if !ok {
-		h.s.NoPadding++
 		return
 	}
 	// Best effort: jump-pointers are hints, so a store to a home node
 	// whose line has already left the L1 is dropped rather than paying
 	// a write-allocate fetch of the whole line.
 	if !h.hier.PresentL1(pad) {
-		h.s.JPStoreDrops++
 		return
 	}
 	h.Image().WriteWord(pad, target)

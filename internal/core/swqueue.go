@@ -113,3 +113,28 @@ func (q *SWJumpQueue) Reset() {
 	})
 	q.pos = 0
 }
+
+// JumpPrefetch emits the jump-pointer prefetch that pairs with
+// SWJumpQueue's creation code: it fetches the node whose address sits
+// in node's jump-pointer field at jumpOff (paper §2.2).  Only the
+// chaser differs between the implementations (§3):
+//
+//   - cooperative (coop): one Prefetch of the jump-pointer word at
+//     site, flagged ir.FJumpChase; the DBP hardware reads the fetched
+//     pointer and prefetches its target.  The returned Val is the zero
+//     Val.
+//   - software: an overhead Load of the jump pointer at site, then a
+//     Prefetch of the loaded address at site+1.  The loaded pointer is
+//     returned so root jumping can keep chasing from it.
+func JumpPrefetch(a *ir.Asm, site int, node ir.Val, jumpOff uint32, coop bool) ir.Val {
+	if coop {
+		a.Prefetch(site, node, jumpOff, ir.FJumpChase)
+		return ir.Val{}
+	}
+	var j ir.Val
+	a.Overhead(func() {
+		j = a.Load(site, node, jumpOff, 0)
+		a.Prefetch(site+1, j, 0, 0)
+	})
+	return j
+}

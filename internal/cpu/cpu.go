@@ -185,16 +185,13 @@ type Stats struct {
 	LDSLoadMiss  uint64
 	OtherMiss    uint64
 	DemandMisses uint64
-	LoadsFromPB  uint64
-	DTLBStalls   uint64
 
 	// MissOverlapSum accumulates, for every demand load miss, the
 	// number of other demand misses in flight when it issued; divided
 	// by DemandMisses it gives the paper's Table 1 parallelism metric.
 	MissOverlapSum uint64
 
-	FetchStallCycles uint64
-	Truncated        bool
+	Truncated bool
 
 	// Sample is non-nil only for sampled runs (Config.Sampling set) and
 	// carries the measurement/extrapolation breakdown and error bars.
@@ -479,19 +476,6 @@ func (c *Core) runDetailed(gen *ir.Gen, target uint64, fetch bool) bool {
 				// Each skipped cycle classifies identically: the window
 				// contents, head state and counters are all frozen.
 				c.s.Attribution.AccountN(c.classifyCycle(0), span)
-				// fetchDispatch would have counted a front-end stall for
-				// every skipped cycle it was blocked.
-				if fetch {
-					if c.blockSeq != 0 {
-						c.s.FetchStallCycles += span
-					} else if c.fetchReadyAt > c.now {
-						stall := c.fetchReadyAt - c.now
-						if stall > span {
-							stall = span
-						}
-						c.s.FetchStallCycles += stall
-					}
-				}
 				if c.eng != nil {
 					// The engine provably had nothing due during the
 					// span (nextEventAt consulted it), so the per-cycle
@@ -906,12 +890,6 @@ func (c *Core) issueLoad(idx int) {
 	res := c.hier.AccessData(c.now, d.Addr, cache.KLoad)
 	e.issued = true
 	e.doneAt = res.Done
-	if res.TLBMiss {
-		c.s.DTLBStalls++
-	}
-	if res.FromPB {
-		c.s.LoadsFromPB++
-	}
 	if res.MissL1 {
 		e.missL1 = true
 		c.s.DemandMisses++
@@ -1025,7 +1003,6 @@ func (c *Core) dispatch(d *ir.DynInst, isMem, isStore bool) {
 // It returns true when the stream is exhausted.
 func (c *Core) fetchDispatchSpan(gen *ir.Gen) bool {
 	if c.now < c.fetchReadyAt || c.blockSeq != 0 {
-		c.s.FetchStallCycles++
 		return false
 	}
 	for n := 0; n < c.cfg.FetchWidth; n++ {
@@ -1093,7 +1070,6 @@ func (c *Core) fetchDispatchSpan(gen *ir.Gen) bool {
 // It returns true when the stream is exhausted.
 func (c *Core) fetchDispatch(gen *ir.Gen) bool {
 	if c.now < c.fetchReadyAt || c.blockSeq != 0 {
-		c.s.FetchStallCycles++
 		return false
 	}
 	for n := 0; n < c.cfg.FetchWidth; n++ {

@@ -51,6 +51,27 @@ func (c ExpConfig) benches() ([]*olden.Benchmark, error) {
 	return out, nil
 }
 
+// selectsAny checks the filter against an experiment that covers a
+// fixed set of benchmarks: with a filter set, it must name at least one
+// of them, so a filter that selects none is an error naming the
+// benchmarks the experiment covers rather than an empty or unfiltered
+// report.  It also rejects unknown names, as benches does.
+func (c ExpConfig) selectsAny(exp string, covered ...string) error {
+	if len(c.Benches) == 0 {
+		return nil
+	}
+	if _, err := c.benches(); err != nil {
+		return err
+	}
+	for _, n := range covered {
+		if containsStr(c.Benches, n) {
+			return nil
+		}
+	}
+	return fmt.Errorf("harness: %s covers only %s; the benchmark filter selects none of them",
+		exp, strings.Join(covered, ", "))
+}
+
 // Report is a rendered experiment result.
 type Report struct {
 	ID    string
@@ -209,7 +230,11 @@ func Fig4(cfg ExpConfig) (Report, error) {
 		bench  string
 		labels []string
 	}
-	if _, err := cfg.benches(); err != nil {
+	covered := make([]string, len(fig4Matrix))
+	for i, ent := range fig4Matrix {
+		covered[i] = ent.Bench
+	}
+	if err := cfg.selectsAny("fig4", covered...); err != nil {
 		return Report{}, err
 	}
 	var (
@@ -439,6 +464,9 @@ func Fig6(cfg ExpConfig) (Report, error) {
 // of 70 and 280 cycles, jump-pointer intervals of 8 and 16.  Bars are
 // normalized to the unoptimized run at the same latency.
 func Fig7(cfg ExpConfig) (Report, error) {
+	if err := cfg.selectsAny("fig7", "health"); err != nil {
+		return Report{}, err
+	}
 	type entry struct {
 		group  string
 		labels []string

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/olden"
+	"repro/internal/prefetch"
 )
 
 func TestRunAllBenchmarksAllSchemes(t *testing.T) {
@@ -24,7 +25,7 @@ func TestRunAllBenchmarksAllSchemes(t *testing.T) {
 			if res.CPU.Truncated {
 				t.Errorf("%s/%v: truncated", b.Name, scheme)
 			}
-			if scheme.UsesHardware() && res.Engine == nil {
+			if prefetch.DefaultFor(scheme) != "" && res.Engine == nil {
 				t.Errorf("%s/%v: missing engine stats", b.Name, scheme)
 			}
 			if scheme == core.SchemeHardware && res.HW == nil {
@@ -45,7 +46,7 @@ func TestRunUnknownBenchmark(t *testing.T) {
 // report, and fails before running any simulation.
 func TestExperimentsRejectUnknownBenches(t *testing.T) {
 	cfg := ExpConfig{Size: olden.SizeTest, Benches: []string{"helth", "health", "tree-add"}}
-	for _, id := range []string{"table1", "fig4", "fig5", "fig6", "costs", "shootout"} {
+	for _, id := range []string{"table1", "fig4", "fig5", "fig6", "fig7", "costs", "shootout"} {
 		fn, _ := ExperimentByID(id)
 		rep, err := fn(cfg)
 		if err == nil {
@@ -59,6 +60,30 @@ func TestExperimentsRejectUnknownBenches(t *testing.T) {
 		}
 		if strings.Contains(err.Error(), `"health"`) {
 			t.Errorf("%s: error %q names a known benchmark", id, err)
+		}
+	}
+}
+
+// TestFixedSetExperimentsRejectDisjointFilter: Figures 4 and 7 cover a
+// fixed set of benchmarks.  A filter that selects none of them is an
+// error naming the covered set, not an empty chart (fig4) or a chart of
+// the unfiltered set (fig7).
+func TestFixedSetExperimentsRejectDisjointFilter(t *testing.T) {
+	cfg := ExpConfig{Size: olden.SizeTest, Benches: []string{"bh"}}
+	for id, covered := range map[string][]string{
+		"fig4": {"em3d", "health", "mst", "treeadd"},
+		"fig7": {"health"},
+	} {
+		fn, _ := ExperimentByID(id)
+		rep, err := fn(cfg)
+		if err == nil {
+			t.Errorf("%s: a filter selecting none of its benchmarks rendered:\n%s", id, rep.Text)
+			continue
+		}
+		for _, name := range covered {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("%s: error %q does not name covered benchmark %s", id, err, name)
+			}
 		}
 	}
 }

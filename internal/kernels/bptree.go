@@ -268,7 +268,7 @@ func bptreeKernel(p Params) func(*ir.Asm) {
 			sum := ir.Imm(0)
 			for !cur.IsNil() {
 				if p.PrefetchOn() && idiom == core.IdiomQueue {
-					queuePrefetch(a, bpIdiom, cur, bpJump, isCoop)
+					core.JumpPrefetch(a, bpIdiom, cur, bpJump, isCoop)
 				}
 				for j := 0; j < mirror.n; j++ {
 					v := a.Load(bpScan, cur, uint32(bpVals+4*j), ir.FLDS)

@@ -148,7 +148,7 @@ func hashchurnKernel(p Params) func(*ir.Asm) {
 			e := a.Load(hcProbe, dir, off, ir.FLDS)
 			for !e.IsNil() {
 				if p.PrefetchOn() && idiom == core.IdiomQueue {
-					queuePrefetch(a, hcIdiom, e, heJump, isCoop)
+					core.JumpPrefetch(a, hcIdiom, e, heJump, isCoop)
 				}
 				k := a.Load(hcWalk, e, heKey, ir.FLDS)
 				if queue != nil {

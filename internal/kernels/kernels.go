@@ -147,19 +147,3 @@ func hashMix(a *ir.Asm, site int, key ir.Val) ir.Val {
 	h2 := a.Alu(site+1, h1.U32()>>13, h1, ir.Val{})
 	return a.Alu(site+2, h1.U32()^h2.U32(), h1, h2)
 }
-
-// Common queue-idiom emission: at the top of a serialized visit, chase
-// the jump pointer installed `interval` visits ago.  Cooperative
-// prefetches hand the chain to hardware (ir.FJumpChase); software
-// prefetches load the pointer and issue a plain prefetch under
-// overhead accounting.
-func queuePrefetch(a *ir.Asm, site int, cur ir.Val, jumpOff uint32, isCoop bool) {
-	if isCoop {
-		a.Prefetch(site, cur, jumpOff, ir.FJumpChase)
-		return
-	}
-	a.Overhead(func() {
-		j := a.Load(site, cur, jumpOff, 0)
-		a.Prefetch(site+1, j, 0, 0)
-	})
-}

@@ -259,7 +259,7 @@ func lruKernel(p Params) func(*ir.Asm) {
 			sum := ir.Imm(0)
 			for !cur.IsNil() {
 				if p.PrefetchOn() && idiom == core.IdiomQueue {
-					queuePrefetch(a, luIdiom, cur, luJump, isCoop)
+					core.JumpPrefetch(a, luIdiom, cur, luJump, isCoop)
 				}
 				v := a.Load(luScan+1, cur, luVal, ir.FLDS)
 				sum = a.Alu(luScan+2, sum.U32()+v.U32(), sum, v)

@@ -125,7 +125,7 @@ func multilistKernel(p Params) func(*ir.Asm) {
 			for step := 0; step < cfg.nodes; step++ {
 				for j := 0; j < k; j++ {
 					if p.PrefetchOn() && idiom == core.IdiomQueue {
-						queuePrefetch(a, mlIdiom, cur[j], mlJump, isCoop)
+						core.JumpPrefetch(a, mlIdiom, cur[j], mlJump, isCoop)
 					}
 					v := a.Load(mlWalk, cur[j], mlVal, ir.FLDS)
 					sum[j] = a.Alu(mlWalk+1, sum[j].U32()+v.U32(), sum[j], v)

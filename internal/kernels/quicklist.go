@@ -119,7 +119,7 @@ func quicklistKernel(p Params) func(*ir.Asm) {
 			sum := ir.Imm(0)
 			for !cur.IsNil() {
 				if p.PrefetchOn() && idiom != core.IdiomNone {
-					queuePrefetch(a, qlIdiom, cur, qlSkip, isCoop)
+					core.JumpPrefetch(a, qlIdiom, cur, qlSkip, isCoop)
 				}
 				v := a.Load(qlWalk, cur, qlVal, ir.FLDS)
 				sum = a.Alu(qlWalk+1, sum.U32()+v.U32(), sum, v)

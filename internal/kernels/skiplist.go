@@ -162,7 +162,7 @@ func skiplistKernel(p Params) func(*ir.Asm) {
 			sum := ir.Imm(0)
 			for !cur.IsNil() {
 				if p.PrefetchOn() && idiom == core.IdiomQueue {
-					queuePrefetch(a, slIdiom, cur, slJump, isCoop)
+					core.JumpPrefetch(a, slIdiom, cur, slJump, isCoop)
 				}
 				v := a.Load(slScan+1, cur, slVal, ir.FLDS)
 				sum = a.Alu(slScan+2, sum.U32()+v.U32(), sum, v)

@@ -139,14 +139,7 @@ func txmixKernel(p Params) func(*ir.Asm) {
 			// this transaction runs.
 			var rootJ ir.Val
 			if idiom == core.IdiomRoot && nextRI >= 0 && p.PrefetchOn() {
-				if isCoop {
-					a.Prefetch(txRoot, recs[nextRI], txHead, ir.FJumpChase)
-				} else {
-					a.Overhead(func() {
-						rootJ = a.Load(txRoot, recs[nextRI], txHead, 0)
-						a.Prefetch(txRoot+1, rootJ, 0, 0)
-					})
-				}
+				rootJ = core.JumpPrefetch(a, txRoot, recs[nextRI], txHead, isCoop)
 			}
 
 			rec := a.Load(txPick, dir, uint32(4*ri), ir.FLDS)
@@ -163,7 +156,7 @@ func txmixKernel(p Params) func(*ir.Asm) {
 			for !n.IsNil() {
 				switch {
 				case p.PrefetchOn() && idiom == core.IdiomQueue:
-					queuePrefetch(a, txIdiom, n, txfJump, isCoop)
+					core.JumpPrefetch(a, txIdiom, n, txfJump, isCoop)
 				case p.PrefetchOn() && idiom == core.IdiomRoot && !isCoop && !rootJ.IsNil():
 					// Chain along the next record's field nodes.
 					a.Overhead(func() {

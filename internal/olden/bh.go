@@ -143,13 +143,8 @@ func bhKernel(p Params) func(*ir.Asm) {
 			body := bodies[0]
 			for i := range bodies {
 				if idiom == core.IdiomQueue {
-					if coop && p.PrefetchOn() {
-						a.Prefetch(bhIdiom, body, bhBJump, ir.FJumpChase)
-					} else if p.PrefetchOn() {
-						a.Overhead(func() {
-							j := a.Load(bhIdiom, body, bhBJump, 0)
-							a.Prefetch(bhIdiom+1, j, 0, 0)
-						})
+					if p.PrefetchOn() {
+						core.JumpPrefetch(a, bhIdiom, body, bhBJump, coop)
 					}
 					queue.Visit(body)
 				}

@@ -85,13 +85,8 @@ func bisortKernel(p Params) func(*ir.Asm) {
 		var bimerge func(n ir.Val, dir bool) ir.Val
 		bimerge = func(n ir.Val, dir bool) ir.Val {
 			if idiom == core.IdiomQueue {
-				if coop && p.PrefetchOn() {
-					a.Prefetch(bbIdiom, n, bsJump, ir.FJumpChase)
-				} else if p.PrefetchOn() {
-					a.Overhead(func() {
-						j := a.Load(bbIdiom, n, bsJump, 0)
-						a.Prefetch(bbIdiom+1, j, 0, 0)
-					})
+				if p.PrefetchOn() {
+					core.JumpPrefetch(a, bbIdiom, n, bsJump, coop)
 				}
 				queue.Visit(n)
 			}

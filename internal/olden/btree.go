@@ -193,13 +193,8 @@ func btreeKernel(p Params) func(*ir.Asm) {
 			leaf := start
 			for i := 0; i < leavesToScan && !leaf.IsNil(); i++ {
 				if idiom == core.IdiomQueue {
-					if coop && p.PrefetchOn() {
-						a.Prefetch(btIdiom, leaf, btJump, ir.FJumpChase)
-					} else if p.PrefetchOn() {
-						a.Overhead(func() {
-							j := a.Load(btIdiom, leaf, btJump, 0)
-							a.Prefetch(btIdiom+1, j, 0, 0)
-						})
+					if p.PrefetchOn() {
+						core.JumpPrefetch(a, btIdiom, leaf, btJump, coop)
 					}
 					queue.Visit(leaf)
 				}

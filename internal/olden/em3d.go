@@ -133,30 +133,26 @@ func em3dKernel(p Params) func(*ir.Asm) {
 				// Prefetching idiom at loop top.
 				switch idiom {
 				case core.IdiomQueue:
-					if coop && p.PrefetchOn() {
-						a.Prefetch(esIdiom, node, emJump, ir.FJumpChase)
-					} else if p.PrefetchOn() {
-						a.Overhead(func() {
-							j := a.Load(esIdiom, node, emJump, 0)
-							a.Prefetch(esIdiom+1, j, 0, 0)
+					if p.PrefetchOn() {
+						j := core.JumpPrefetch(a, esIdiom, node, emJump, coop)
+						if !coop {
+							// The node spans two lines: software also
+							// prefetches the second.
 							a.Prefetch(esIdiom+6, j, 32, 0)
-						})
+						}
 					}
 				case core.IdiomFull:
-					if coop && p.PrefetchOn() {
-						a.Prefetch(esIdiom, node, emJump, ir.FJumpChase)
-						for k := 0; k < emK; k++ {
-							a.Prefetch(esIdiom+2, node, uint32(64+4*k), ir.FJumpChase)
+					if p.PrefetchOn() {
+						core.JumpPrefetch(a, esIdiom, node, emJump, coop)
+						// Rib jump pointers: the cooperative and
+						// software forms sit at different sites.
+						rib := esIdiom + 3
+						if coop {
+							rib = esIdiom + 2
 						}
-					} else if p.PrefetchOn() {
-						a.Overhead(func() {
-							j := a.Load(esIdiom, node, emJump, 0)
-							a.Prefetch(esIdiom+1, j, 0, 0)
-							for k := 0; k < emK; k++ {
-								jr := a.Load(esIdiom+3, node, uint32(64+4*k), 0)
-								a.Prefetch(esIdiom+4, jr, 0, 0)
-							}
-						})
+						for k := 0; k < emK; k++ {
+							core.JumpPrefetch(a, rib, node, uint32(64+4*k), coop)
+						}
 					}
 				}
 

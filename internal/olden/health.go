@@ -173,14 +173,7 @@ func healthWalkList(a *ir.Asm, p Params, idiom core.Idiom, coop bool,
 	// chain along it while this list is processed (paper Figure 2(e)).
 	var rootJ ir.Val
 	if idiom == core.IdiomRoot && !nextV.IsNil() && p.PrefetchOn() {
-		if coop {
-			a.Prefetch(hsIdiom2, nextV, hvWaiting, ir.FJumpChase)
-		} else {
-			a.Overhead(func() {
-				rootJ = a.Load(hsIdiom2, nextV, hvWaiting, 0)
-				a.Prefetch(hsIdiom2+1, rootJ, 0, 0)
-			})
-		}
+		rootJ = core.JumpPrefetch(a, hsIdiom2, nextV, hvWaiting, coop)
 	}
 
 	l := a.Load(hsWalk+1, v, hvWaiting, ir.FLDS)
@@ -195,43 +188,28 @@ func healthWalkList(a *ir.Asm, p Params, idiom core.Idiom, coop bool,
 		}
 		switch idiom {
 		case core.IdiomQueue:
-			if coop {
-				a.Prefetch(hsIdiom, l, hlJump, ir.FJumpChase)
-			} else {
-				a.Overhead(func() {
-					j := a.Load(hsIdiom, l, hlJump, 0)
-					a.Prefetch(hsIdiom+1, j, 0, 0)
-				})
-			}
+			core.JumpPrefetch(a, hsIdiom, l, hlJump, coop)
 		case core.IdiomChain:
-			if coop {
-				a.Prefetch(hsIdiom, l, hlJump, ir.FJumpChase)
-			} else {
+			j := core.JumpPrefetch(a, hsIdiom, l, hlJump, coop)
+			// Software chains the rib prefetch itself, pipelined one
+			// node behind so the binding load finds its block (mostly)
+			// arrived.
+			if !coop && !jprev.IsNil() {
 				a.Overhead(func() {
-					j := a.Load(hsIdiom, l, hlJump, 0)
-					a.Prefetch(hsIdiom+1, j, 0, 0)
-					// Chained rib prefetch, software-pipelined one node
-					// behind so the binding load finds its block
-					// (mostly) arrived.
-					if !jprev.IsNil() {
-						pp := a.Load(hsIdiom+2, jprev, hlPatient, 0)
-						a.Prefetch(hsIdiom+3, pp, 0, 0)
-					}
-					jprev = j
+					pp := a.Load(hsIdiom+2, jprev, hlPatient, 0)
+					a.Prefetch(hsIdiom+3, pp, 0, 0)
 				})
 			}
+			jprev = j
 		case core.IdiomFull:
+			core.JumpPrefetch(a, hsIdiom, l, hlJump, coop)
+			// The rib jump pointer: the cooperative and software forms
+			// sit at different sites.
+			rib := hsIdiom + 2
 			if coop {
-				a.Prefetch(hsIdiom, l, hlJump, ir.FJumpChase)
-				a.Prefetch(hsIdiom+1, l, hlJumpRib, ir.FJumpChase)
-			} else {
-				a.Overhead(func() {
-					j := a.Load(hsIdiom, l, hlJump, 0)
-					a.Prefetch(hsIdiom+1, j, 0, 0)
-					jr := a.Load(hsIdiom+2, l, hlJumpRib, 0)
-					a.Prefetch(hsIdiom+3, jr, 0, 0)
-				})
+				rib = hsIdiom + 1
 			}
+			core.JumpPrefetch(a, rib, l, hlJumpRib, coop)
 		case core.IdiomRoot:
 			if !coop && !rootJ.IsNil() {
 				a.Overhead(func() {

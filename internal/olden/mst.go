@@ -120,15 +120,8 @@ func mstKernel(p Params) func(*ir.Asm) {
 			a.Alu(msOuter+5, b, hk, ir.Val{})
 
 			var chainJ ir.Val
-			if idiom == core.IdiomRoot && !nextTable.IsNil() {
-				if coop && p.PrefetchOn() {
-					a.Prefetch(msIdiom, nextTable, nextOff, ir.FJumpChase)
-				} else if p.PrefetchOn() {
-					a.Overhead(func() {
-						chainJ = a.Load(msIdiom, nextTable, nextOff, 0)
-						a.Prefetch(msIdiom+1, chainJ, 0, 0)
-					})
-				}
+			if idiom == core.IdiomRoot && !nextTable.IsNil() && p.PrefetchOn() {
+				chainJ = core.JumpPrefetch(a, msIdiom, nextTable, nextOff, coop)
 			}
 
 			n := a.Load(msLookup, tables[v], b, ir.FLDS)
@@ -143,13 +136,8 @@ func mstKernel(p Params) func(*ir.Asm) {
 					})
 				}
 				if idiom == core.IdiomQueue {
-					if coop && p.PrefetchOn() {
-						a.Prefetch(msIdiom+4, n, 12, ir.FJumpChase)
-					} else if p.PrefetchOn() {
-						a.Overhead(func() {
-							j := a.Load(msIdiom+4, n, 12, 0)
-							a.Prefetch(msIdiom+5, j, 0, 0)
-						})
+					if p.PrefetchOn() {
+						core.JumpPrefetch(a, msIdiom+4, n, 12, coop)
 					}
 					queue.Visit(n)
 				}

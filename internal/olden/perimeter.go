@@ -94,15 +94,8 @@ func perimeterKernel(p Params) func(*ir.Asm) {
 		// ---- single traversal: sum leaf edge contributions ----
 		var walk func(n ir.Val) ir.Val
 		walk = func(n ir.Val) ir.Val {
-			if idiom == core.IdiomQueue {
-				if coop && p.PrefetchOn() {
-					a.Prefetch(psIdiom, n, pqJump, ir.FJumpChase)
-				} else if p.PrefetchOn() {
-					a.Overhead(func() {
-						j := a.Load(psIdiom, n, pqJump, 0)
-						a.Prefetch(psIdiom+1, j, 0, 0)
-					})
-				}
+			if idiom == core.IdiomQueue && p.PrefetchOn() {
+				core.JumpPrefetch(a, psIdiom, n, pqJump, coop)
 			}
 			color := a.Load(psWalk, n, pqColor, ir.FLDS)
 			grey := color.U32() == 0

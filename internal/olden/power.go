@@ -119,13 +119,8 @@ func powerKernel(p Params) func(*ir.Asm) {
 			sum := ir.Val{}
 			for !n.IsNil() {
 				if idiom == core.IdiomQueue {
-					if coop && p.PrefetchOn() {
-						a.Prefetch(pwIdiom, n, pwJump, ir.FJumpChase)
-					} else if p.PrefetchOn() {
-						a.Overhead(func() {
-							j := a.Load(pwIdiom, n, pwJump, 0)
-							a.Prefetch(pwIdiom+1, j, 0, 0)
-						})
+					if p.PrefetchOn() {
+						core.JumpPrefetch(a, pwIdiom, n, pwJump, coop)
 					}
 					queue.Visit(n)
 				}

@@ -113,13 +113,8 @@ func spmvKernel(p Params) func(*ir.Asm) {
 				e := rowHeads[i]
 				for !e.IsNil() {
 					if idiom == core.IdiomQueue {
-						if coop && p.PrefetchOn() {
-							a.Prefetch(svIdiom, e, svJump, ir.FJumpChase)
-						} else if p.PrefetchOn() {
-							a.Overhead(func() {
-								j := a.Load(svIdiom, e, svJump, 0)
-								a.Prefetch(svIdiom+1, j, 0, 0)
-							})
+						if p.PrefetchOn() {
+							core.JumpPrefetch(a, svIdiom, e, svJump, coop)
 						}
 						queue.Visit(e)
 					}

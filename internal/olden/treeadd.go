@@ -91,13 +91,8 @@ func treeaddKernel(p Params) func(*ir.Asm) {
 			// Prefetch the node queued `interval` visits ago's
 			// successor: jump-pointer prefetch at visit.
 			if idiom == core.IdiomQueue {
-				if coop && p.PrefetchOn() {
-					a.Prefetch(tsIdiom, n, taJump, ir.FJumpChase)
-				} else if p.PrefetchOn() {
-					a.Overhead(func() {
-						j := a.Load(tsIdiom, n, taJump, 0)
-						a.Prefetch(tsIdiom+1, j, 0, 0)
-					})
+				if p.PrefetchOn() {
+					core.JumpPrefetch(a, tsIdiom, n, taJump, coop)
 				}
 				queue.Visit(n)
 			}

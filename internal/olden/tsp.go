@@ -105,13 +105,8 @@ func tspKernel(p Params) func(*ir.Asm) {
 			steps := (mid - lo) % 7
 			for s := 0; s < steps; s++ {
 				if idiom == core.IdiomQueue {
-					if coop && p.PrefetchOn() {
-						a.Prefetch(tpIdiom, cur, tcJump, ir.FJumpChase)
-					} else if p.PrefetchOn() {
-						a.Overhead(func() {
-							j := a.Load(tpIdiom, cur, tcJump, 0)
-							a.Prefetch(tpIdiom+1, j, 0, 0)
-						})
+					if p.PrefetchOn() {
+						core.JumpPrefetch(a, tpIdiom, cur, tcJump, coop)
 					}
 					queue.Visit(cur)
 				}
@@ -138,13 +133,8 @@ func tspKernel(p Params) func(*ir.Asm) {
 		cur := head
 		for i := 0; i < cities; i++ {
 			if idiom == core.IdiomQueue {
-				if coop && p.PrefetchOn() {
-					a.Prefetch(tpIdiom+2, cur, tcJump, ir.FJumpChase)
-				} else if p.PrefetchOn() {
-					a.Overhead(func() {
-						j := a.Load(tpIdiom+2, cur, tcJump, 0)
-						a.Prefetch(tpIdiom+3, j, 0, 0)
-					})
+				if p.PrefetchOn() {
+					core.JumpPrefetch(a, tpIdiom+2, cur, tcJump, coop)
 				}
 				queue.Visit(cur)
 			}

@@ -115,13 +115,8 @@ func voronoiKernel(p Params) func(*ir.Asm) {
 			cur := edges[0]
 			for i := 0; i < len(edges); i++ {
 				if idiom == core.IdiomQueue {
-					if coop && p.PrefetchOn() {
-						a.Prefetch(vsIdiom, cur, voJump, ir.FJumpChase)
-					} else if p.PrefetchOn() {
-						a.Overhead(func() {
-							j := a.Load(vsIdiom, cur, voJump, 0)
-							a.Prefetch(vsIdiom+1, j, 0, 0)
-						})
+					if p.PrefetchOn() {
+						core.JumpPrefetch(a, vsIdiom, cur, voJump, coop)
 					}
 					queue.Visit(cur)
 				}
