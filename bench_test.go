@@ -347,12 +347,14 @@ type benchDoc struct {
 func TestEmitBenchJSON(t *testing.T) {
 	size := benchSize
 	benches := []string{"health", "mst", "perimeter", "treeadd", "em3d"}
-	benches = append(benches, kernels.Names()...)
+	for _, b := range kernels.All() {
+		benches = append(benches, b.Name)
+	}
 	largeBenches := benches
 	if testing.Short() {
 		size = olden.SizeTest
 		benches = benches[:0]
-		for _, bm := range harness.AllBenches() {
+		for _, bm := range olden.All() {
 			benches = append(benches, bm.Name)
 		}
 		largeBenches = nil

@@ -74,7 +74,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	if _, ok := harness.BenchByName(*bench); !ok {
+	if _, ok := olden.ByName(*bench); !ok {
 		return fmt.Errorf("unknown benchmark %q", *bench)
 	}
 	var params olden.Params

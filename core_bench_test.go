@@ -23,7 +23,7 @@ import (
 // These are quick in-process figures; throughput claims are measured
 // with the jppbench benchmark under bench/ (see bench/README.md).
 func BenchmarkCore(b *testing.B) {
-	for _, bm := range harness.AllBenches() {
+	for _, bm := range olden.All() {
 		b.Run(bm.Name, func(b *testing.B) {
 			var insts, cycles uint64
 			for i := 0; i < b.N; i++ {

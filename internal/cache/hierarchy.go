@@ -105,9 +105,8 @@ type Stats struct {
 
 	// L1L2Bytes is total traffic on the L1<->L2 bus, writebacks
 	// included.
-	L1L2Bytes          uint64
-	L1L2WritebackBytes uint64
-	MemBytes           uint64
+	L1L2Bytes uint64
+	MemBytes  uint64
 
 	PBFills uint64
 	PBHits  uint64
@@ -381,7 +380,6 @@ func (h *Hierarchy) fetchFromL2(now uint64, addr uint32) (uint64, bool) {
 func (h *Hierarchy) writebackL1(now uint64, victim uint32) {
 	h.l1l2Bus.Transfer(now, h.p.L1D.LineBytes)
 	h.s.L1L2Bytes += uint64(h.p.L1D.LineBytes)
-	h.s.L1L2WritebackBytes += uint64(h.p.L1D.LineBytes)
 	if h.l2.probe(victim) {
 		h.l2.setDirty(victim)
 	}

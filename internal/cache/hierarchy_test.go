@@ -143,19 +143,39 @@ func TestEarlyDemandWaitsOnInflightPrefetch(t *testing.T) {
 	}
 }
 
-func TestWritebackTraffic(t *testing.T) {
+// evictTraffic fetches the line at addr with a load, applies touch to
+// it (nil leaves it clean), then evicts it by loading two more lines of
+// its set, and returns the bytes the sequence moved over the L1<->L2
+// bus.
+func evictTraffic(addr uint32, touch func(h *Hierarchy, now uint64)) uint64 {
 	h := defaultHier()
-	// Dirty a line, then evict it by filling its set: writeback bytes
-	// must appear on the L1<->L2 bus.
-	r := h.AccessData(0, 0x8000, KStore)
-	now := r.Done + 1
+	now := h.AccessData(0, addr, KLoad).Done + 1
+	if touch != nil {
+		touch(h, now)
+		now++
+	}
 	for i := 1; i <= 2; i++ {
-		rr := h.AccessData(now, uint32(0x8000+i*32<<10), KLoad)
-		now = rr.Done + 1
+		now = h.AccessData(now, addr+uint32(i*32<<10), KLoad).Done + 1
 	}
-	if h.Stats().L1L2WritebackBytes == 0 {
-		t.Fatal("dirty eviction produced no writeback traffic")
+	return h.Stats().L1L2Bytes
+}
+
+// checkOneWriteback asserts that dirtying the line with touch costs
+// exactly one 32-byte L1 line of writeback over leaving it clean.
+func checkOneWriteback(t *testing.T, addr uint32, touch func(h *Hierarchy, now uint64)) {
+	t.Helper()
+	clean, dirty := evictTraffic(addr, nil), evictTraffic(addr, touch)
+	if dirty != clean+32 {
+		t.Fatalf("dirty eviction moved %d L1<->L2 bytes, clean %d; want clean+32", dirty, clean)
 	}
+}
+
+func TestWritebackTraffic(t *testing.T) {
+	// A store to a resident line dirties it, so its eviction writes it
+	// back over the L1<->L2 bus.
+	checkOneWriteback(t, 0x8000, func(h *Hierarchy, now uint64) {
+		h.AccessData(now, 0x8000, KStore)
+	})
 }
 
 func TestPerfectDataMode(t *testing.T) {
@@ -290,18 +310,10 @@ func TestBadGeometryPanics(t *testing.T) {
 }
 
 func TestJPStoreKind(t *testing.T) {
-	h := defaultHier()
 	// A jump-pointer store to a resident line dirties it like a store.
-	r := h.AccessData(0, 0xC000, KLoad)
-	h.AccessData(r.Done+1, 0xC000, KJPStore)
-	now := r.Done + 2
-	for i := 1; i <= 2; i++ {
-		rr := h.AccessData(now, uint32(0xC000+i*32<<10), KLoad)
-		now = rr.Done + 1
-	}
-	if h.Stats().L1L2WritebackBytes == 0 {
-		t.Fatal("JP store did not dirty the line")
-	}
+	checkOneWriteback(t, 0xC000, func(h *Hierarchy, now uint64) {
+		h.AccessData(now, 0xC000, KJPStore)
+	})
 }
 
 func TestDirtyL1AndPresentL1(t *testing.T) {
@@ -309,19 +321,13 @@ func TestDirtyL1AndPresentL1(t *testing.T) {
 	if h.PresentL1(0xD000) {
 		t.Fatal("cold line reported present")
 	}
-	r := h.AccessData(0, 0xD000, KLoad)
+	h.AccessData(0, 0xD000, KLoad)
 	if !h.PresentL1(0xD000) {
 		t.Fatal("fetched line not present")
 	}
-	h.DirtyL1(0xD000)
-	now := r.Done + 1
-	for i := 1; i <= 2; i++ {
-		rr := h.AccessData(now, uint32(0xD000+i*32<<10), KLoad)
-		now = rr.Done + 1
-	}
-	if h.Stats().L1L2WritebackBytes == 0 {
-		t.Fatal("DirtyL1 line evicted without writeback")
-	}
+	checkOneWriteback(t, 0xD000, func(h *Hierarchy, _ uint64) {
+		h.DirtyL1(0xD000)
+	})
 }
 
 func TestMemLatencyParameterScales(t *testing.T) {

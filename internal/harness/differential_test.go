@@ -16,7 +16,7 @@ import (
 // into block padding and scheme-private globals, and nothing else.
 func TestPrefetchingPreservesArchitecturalState(t *testing.T) {
 	t.Parallel()
-	for _, b := range AllBenches() {
+	for _, b := range olden.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()

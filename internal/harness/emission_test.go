@@ -102,7 +102,7 @@ func drainDigest(kernel func(*ir.Asm)) emissionDigest {
 func TestEmissionDigests(t *testing.T) {
 	got := map[string]emissionDigest{}
 	for _, size := range []olden.Size{olden.SizeTest, olden.SizeSmall} {
-		for _, b := range AllBenches() {
+		for _, b := range olden.All() {
 			for _, p := range emissionParams(b, size) {
 				got[emissionKey(b.Name, p)] = drainDigest(b.Kernel(p))
 			}

@@ -39,7 +39,7 @@ func (c ExpConfig) benches() ([]*olden.Benchmark, error) {
 		unknown []string
 	)
 	for _, n := range c.Benches {
-		if b, ok := BenchByName(n); ok {
+		if b, ok := olden.ByName(n); ok {
 			out = append(out, b)
 		} else {
 			unknown = append(unknown, fmt.Sprintf("%q", n))

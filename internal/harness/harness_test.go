@@ -10,7 +10,7 @@ import (
 )
 
 func TestRunAllBenchmarksAllSchemes(t *testing.T) {
-	for _, b := range AllBenches() {
+	for _, b := range olden.All() {
 		for _, scheme := range core.Schemes() {
 			res, err := Run(Spec{
 				Bench:  b.Name,

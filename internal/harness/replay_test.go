@@ -20,7 +20,7 @@ import (
 // normalized away before comparing.
 func TestBlockReplayEquivalence(t *testing.T) {
 	t.Parallel()
-	for _, b := range AllBenches() {
+	for _, b := range olden.All() {
 		for _, scheme := range core.Schemes() {
 			for _, noskip := range []bool{false, true} {
 				b, scheme, noskip := b, scheme, noskip

@@ -32,8 +32,8 @@ type Spec struct {
 	Engine string
 
 	// Kernel, when non-nil, supplies the workload directly instead of
-	// looking Bench up in the merged workload registry (BenchByName:
-	// the Olden suite plus internal/kernels); Bench then only labels the
+	// looking Bench up in the workload registry (olden.ByName: the
+	// Olden family plus internal/kernels); Bench then only labels the
 	// run.  The validate subsystem runs generated micro-IR programs
 	// through the full pipeline this way, and tests use it to inject
 	// failing workloads into batches.  The function is invoked once per
@@ -100,7 +100,7 @@ func (r Result) Cycles() uint64 { return r.CPU.Cycles }
 func Run(spec Spec) (Result, error) {
 	kernel := spec.Kernel
 	if kernel == nil {
-		bench, ok := BenchByName(spec.Bench)
+		bench, ok := olden.ByName(spec.Bench)
 		if !ok {
 			return Result{}, fmt.Errorf("harness: unknown benchmark %q", spec.Bench)
 		}

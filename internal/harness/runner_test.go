@@ -194,7 +194,7 @@ func TestPerfectPassIgnoresHardwareScheme(t *testing.T) {
 	schemes := []core.Scheme{core.SchemeNone, core.SchemeDBP, core.SchemeHardware}
 	intervals := []int{0, core.DefaultInterval, 16}
 	var specs []Spec
-	for _, b := range AllBenches() {
+	for _, b := range olden.All() {
 		for _, interval := range intervals {
 			for _, scheme := range schemes {
 				s := testSpec(b.Name, scheme)
@@ -232,7 +232,7 @@ func TestPerfectPassIgnoresHardwareScheme(t *testing.T) {
 // benchmark flattens to its 5 realistic runs and 3 perfect passes —
 // none, dbp and hw share one, sw and coop each need their own.
 func TestDecompPlanSharesFig5PerfectPasses(t *testing.T) {
-	b, _ := BenchByName("health")
+	b, _ := olden.ByName("health")
 	specs := schemeSweep([]*olden.Benchmark{b}, olden.SizeFull)
 	flat, fullAt, perfectAt := decompPlan(specs)
 	var realistic, perfect int

@@ -18,7 +18,7 @@ import (
 // Core.nextEventAt for the invariants that make this hold.
 func TestCycleSkipEquivalence(t *testing.T) {
 	t.Parallel()
-	for _, b := range AllBenches() {
+	for _, b := range olden.All() {
 		for _, scheme := range core.Schemes() {
 			b, scheme := b, scheme
 			t.Run(b.Name+"/"+scheme.String(), func(t *testing.T) {

@@ -23,7 +23,7 @@ var update = flag.Bool("update", false, "regenerate golden stats snapshots")
 // issued, and the derived metrics sit in [0,1].
 func TestStatsInvariantsAllKernelsAllEngines(t *testing.T) {
 	t.Parallel()
-	for _, b := range AllBenches() {
+	for _, b := range olden.All() {
 		for _, scheme := range core.Schemes() {
 			b, scheme := b, scheme
 			t.Run(b.Name+"/"+scheme.String(), func(t *testing.T) {
@@ -186,7 +186,7 @@ func TestGoldenStats(t *testing.T) {
 		spec       Spec
 	}
 	var cases []golden
-	for _, b := range AllBenches() {
+	for _, b := range olden.All() {
 		cases = append(cases, golden{b.Name, "stats_" + b.Name + "_coop_test.json", Spec{
 			Bench:  b.Name,
 			Params: olden.Params{Scheme: core.SchemeCooperative, Size: olden.SizeTest},

@@ -45,7 +45,7 @@ const (
 )
 
 func init() {
-	Register(&Benchmark{
+	olden.Register(olden.FamilyKernels, &olden.Benchmark{
 		Name:        "bptree",
 		Description: "insert-built B+tree with leaf-chain scans",
 		Structures:  "inner separator nodes + linked leaf chain",
@@ -63,13 +63,13 @@ type bptreeCfg struct {
 	lookups int // per batch
 }
 
-func bptreeSizes(s Size) bptreeCfg {
+func bptreeSizes(s olden.Size) bptreeCfg {
 	switch s {
-	case SizeTest:
+	case olden.SizeTest:
 		return bptreeCfg{inserts: 60, batches: 2, lookups: 12}
-	case SizeSmall:
+	case olden.SizeSmall:
 		return bptreeCfg{inserts: 2500, batches: 4, lookups: 128}
-	case SizeLarge:
+	case olden.SizeLarge:
 		// ~10.5K leaves x 64B = ~700KB of leaf data plus inner nodes:
 		// well past the L2.
 		return bptreeCfg{inserts: 48000, batches: 8, lookups: 500}
@@ -92,7 +92,7 @@ type bpNode struct {
 	n    int     // leaf: keys, inner: kids
 }
 
-func bptreeKernel(p Params) func(*ir.Asm) {
+func bptreeKernel(p olden.Params) func(*ir.Asm) {
 	cfg := bptreeSizes(p.Size)
 	idiom := p.SWIdiom(core.IdiomQueue)
 	isCoop := p.Coop()

@@ -12,18 +12,16 @@ import (
 	"repro/internal/olden"
 	"repro/internal/prefetch"
 	"repro/internal/stats"
-	"repro/internal/validate"
 )
 
 // The kernel conformance suite: every kernel registered in this package
-// is pushed through the full correctness matrix the Olden suite
-// already satisfies — all 5 schemes x every prefetch engine x cycle
-// skipping and block replay on/off — asserting snapshot byte-identity
-// for the simulator knobs, stats.Validate invariants on every
-// snapshot, and validate.Digest architectural agreement against the
-// in-order oracle.  Goldens, equivalence and oracle coverage therefore
-// come for free for every kernel added from now on: registering it is
-// enough to put it under the matrix.
+// is pushed through the snapshot matrix the Olden suite already
+// satisfies — all 5 schemes x every prefetch engine x cycle skipping
+// and block replay on/off — asserting snapshot byte-identity for the
+// simulator knobs and stats.Validate invariants on every snapshot.
+// Architectural agreement with the in-order oracle is checked once, for
+// every registered workload, by validate's TestDifferentialWorkloadMatrix.
+// Registering a kernel is enough to put it under both.
 
 // -conformance-size selects the matrix input size, so CI can run the
 // suite at "small" while the default `go test` stays fast.
@@ -40,24 +38,6 @@ func matrixSize(t *testing.T) olden.Size {
 	}
 	t.Fatalf("unknown -conformance-size %q", *conformanceSize)
 	return olden.SizeTest
-}
-
-// TestKernelOracleDigest runs each kernel through the differential
-// driver: every scheme, with cycle skipping and block replay toggled,
-// must commit a stream whose architectural digest matches the in-order
-// oracle's, with the heap checksum and non-overhead instruction count
-// invariant across schemes, plus one leg per competitor engine.
-func TestKernelOracleDigest(t *testing.T) {
-	size := matrixSize(t)
-	for _, name := range kernels.Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			for _, f := range validate.CheckKernel(name, size, validate.Config{}) {
-				t.Errorf("%s", f)
-			}
-		})
-	}
 }
 
 // TestKernelSnapshotEquivalence asserts that cycle skipping and block

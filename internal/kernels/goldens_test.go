@@ -24,9 +24,9 @@ func TestKernelGoldens(t *testing.T) {
 	if testing.Short() {
 		sizes = sizes[:1]
 	}
-	for _, name := range kernels.Names() {
+	for _, b := range kernels.All() {
 		for _, size := range sizes {
-			name, size := name, size
+			name, size := b.Name, size
 			t.Run(name+"/"+size.String(), func(t *testing.T) {
 				t.Parallel()
 				snap := runSnap(t, name, core.SchemeCooperative, "", size, false, false)

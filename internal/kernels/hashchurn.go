@@ -39,7 +39,7 @@ const (
 )
 
 func init() {
-	Register(&Benchmark{
+	olden.Register(olden.FamilyKernels, &olden.Benchmark{
 		Name:        "hashchurn",
 		Description: "chained hash table with resize churn",
 		Structures:  "bucket directory + singly-linked entry chains",
@@ -58,13 +58,13 @@ type hashchurnCfg struct {
 	probePer int // probes per round
 }
 
-func hashchurnSizes(s Size) hashchurnCfg {
+func hashchurnSizes(s olden.Size) hashchurnCfg {
 	switch s {
-	case SizeTest:
+	case olden.SizeTest:
 		return hashchurnCfg{buckets0: 8, rounds: 2, insPer: 24, probePer: 48}
-	case SizeSmall:
+	case olden.SizeSmall:
 		return hashchurnCfg{buckets0: 64, rounds: 4, insPer: 512, probePer: 1024}
-	case SizeLarge:
+	case olden.SizeLarge:
 		// ~56K entries x 16B = ~0.9MB of chain data: well past the L2.
 		return hashchurnCfg{buckets0: 256, rounds: 8, insPer: 7000, probePer: 14000}
 	default:
@@ -75,7 +75,7 @@ func hashchurnSizes(s Size) hashchurnCfg {
 	}
 }
 
-func hashchurnKernel(p Params) func(*ir.Asm) {
+func hashchurnKernel(p olden.Params) func(*ir.Asm) {
 	cfg := hashchurnSizes(p.Size)
 	idiom := p.SWIdiom(core.IdiomQueue)
 	isCoop := p.Coop()

@@ -19,9 +19,9 @@ import (
 // the checksum deliberately excludes).
 
 // runImage drains a kernel and returns the memory image and heap.
-func runImage(t *testing.T, name string, p Params) (*mem.Image, *heap.Allocator) {
+func runImage(t *testing.T, name string, p olden.Params) (*mem.Image, *heap.Allocator) {
 	t.Helper()
-	b, ok := ByName(name)
+	b, ok := olden.ByName(name)
 	if !ok {
 		t.Fatalf("kernel %q not registered", name)
 	}
@@ -54,7 +54,7 @@ func TestStructureInvariants(t *testing.T) {
 			t.Parallel()
 			var baseSum uint64
 			for i, scheme := range core.Schemes() {
-				img, alloc := runImage(t, tc.name, Params{Scheme: scheme, Size: SizeTest})
+				img, alloc := runImage(t, tc.name, olden.Params{Scheme: scheme, Size: olden.SizeTest})
 				sum := alloc.PayloadChecksum()
 				if i == 0 {
 					baseSum = sum
@@ -77,7 +77,7 @@ func TestStructureInvariants(t *testing.T) {
 // height > l.
 func checkSkiplist(t *testing.T, img *mem.Image, _ *heap.Allocator) {
 	head := uint32(heap.Base) // first allocation
-	cfg := skiplistSizes(SizeTest)
+	cfg := skiplistSizes(olden.SizeTest)
 
 	var order []uint32
 	heights := map[uint32]uint32{}
@@ -133,7 +133,7 @@ func checkSkiplist(t *testing.T, img *mem.Image, _ *heap.Allocator) {
 // sorted within and across leaves, and the chain holds every insert.
 func checkBptree(t *testing.T, img *mem.Image, _ *heap.Allocator) {
 	first := uint32(heap.Base) // root leaf is the first allocation
-	cfg := bptreeSizes(SizeTest)
+	cfg := bptreeSizes(olden.SizeTest)
 
 	total := 0
 	leaves := 0
@@ -167,7 +167,7 @@ func checkBptree(t *testing.T, img *mem.Image, _ *heap.Allocator) {
 // eviction order, and that every resident node is reachable through
 // its hash chain.
 func checkLRU(t *testing.T, img *mem.Image, _ *heap.Allocator) {
-	cfg := lruSizes(SizeTest)
+	cfg := lruSizes(olden.SizeTest)
 
 	// Pure-Go replay of the exact get stream.
 	r := olden.NewRNG(0x27d4eb2f)

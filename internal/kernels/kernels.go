@@ -24,73 +24,26 @@
 //   - a zipf-skewed transactional read/write mix over record chains
 //     (txmix)
 //
-// Kernels register in a name->factory registry mirroring
-// internal/prefetch; harness.BenchByName merges this registry with the
-// Olden one, so a name resolves identically everywhere.
+// Each kernel registers into olden's one workload registry as a member
+// of olden.FamilyKernels; olden.All lists the family after the Olden
+// workloads.  The names resolve in any program that links this package
+// in, which internal/harness does for every tool built on it.
 package kernels
 
 import (
-	"sort"
-
 	"repro/internal/ir"
 	"repro/internal/olden"
 )
 
-// Benchmark and Params are the same descriptor types the Olden family
-// uses, so the harness and validation stack treat both families
-// uniformly.
-type (
-	Benchmark = olden.Benchmark
-	Params    = olden.Params
-	Size      = olden.Size
-)
-
-// Size aliases, re-exported so kernel size tables read naturally.
-const (
-	SizeDefault = olden.SizeDefault
-	SizeTest    = olden.SizeTest
-	SizeSmall   = olden.SizeSmall
-	SizeFull    = olden.SizeFull
-	SizeLarge   = olden.SizeLarge
-)
-
-var registry = map[string]*Benchmark{}
-
-// Register adds a kernel to the family registry.  It panics on a
-// duplicate name or on a name that shadows an Olden benchmark: the
-// merged lookup (harness.BenchByName) must stay unambiguous.
-func Register(b *Benchmark) {
-	if _, dup := registry[b.Name]; dup {
-		panic("kernels: duplicate kernel " + b.Name)
-	}
-	if _, clash := olden.ByName(b.Name); clash {
-		panic("kernels: kernel " + b.Name + " shadows an olden benchmark")
-	}
-	registry[b.Name] = b
-}
-
-// Names returns all kernel names in alphabetical order.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ByName looks up a kernel.
-func ByName(name string) (*Benchmark, bool) {
-	b, ok := registry[name]
-	return b, ok
-}
-
-// All returns every kernel alphabetically.
-func All() []*Benchmark {
-	names := Names()
-	out := make([]*Benchmark, len(names))
-	for i, n := range names {
-		out[i] = registry[n]
+// All returns the kernels family in olden.All order.  It stays because
+// bench/jppbench calls it; everything else lists workloads through
+// olden.All.
+func All() []*olden.Benchmark {
+	var out []*olden.Benchmark
+	for _, b := range olden.All() {
+		if b.Family == olden.FamilyKernels {
+			out = append(out, b)
+		}
 	}
 	return out
 }

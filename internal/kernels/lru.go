@@ -47,7 +47,7 @@ const (
 )
 
 func init() {
-	Register(&Benchmark{
+	olden.Register(olden.FamilyKernels, &olden.Benchmark{
 		Name:        "lru",
 		Description: "LRU cache under a zipf get stream (volatile LDS)",
 		Structures:  "hash index over a doubly-linked recency list",
@@ -67,13 +67,13 @@ type lruCfg struct {
 	scanEach int // aging scan period, in gets
 }
 
-func lruSizes(s Size) lruCfg {
+func lruSizes(s olden.Size) lruCfg {
 	switch s {
-	case SizeTest:
+	case olden.SizeTest:
 		return lruCfg{capacity: 24, buckets: 8, keyspace: 72, gets: 96, scanEach: 32}
-	case SizeSmall:
+	case olden.SizeSmall:
 		return lruCfg{capacity: 1024, buckets: 256, keyspace: 3072, gets: 4096, scanEach: 1024}
-	case SizeLarge:
+	case olden.SizeLarge:
 		// 32K x 32B = 1MB of resident nodes: well past the L2.
 		return lruCfg{capacity: 32000, buckets: 8192, keyspace: 96000, gets: 60000, scanEach: 6000}
 	default:
@@ -99,7 +99,7 @@ func lruBucket(key, mask uint32) uint32 {
 	return (h1 ^ (h1 >> 13)) & mask
 }
 
-func lruKernel(p Params) func(*ir.Asm) {
+func lruKernel(p olden.Params) func(*ir.Asm) {
 	cfg := lruSizes(p.Size)
 	idiom := p.SWIdiom(core.IdiomQueue)
 	isCoop := p.Coop()

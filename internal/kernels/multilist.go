@@ -38,7 +38,7 @@ const (
 )
 
 func init() {
-	Register(&Benchmark{
+	olden.Register(olden.FamilyKernels, &olden.Benchmark{
 		Name:        "multilist",
 		Description: "lockstep walks over 1-8 parallel linked lists",
 		Structures:  "8 permutation-shuffled singly-linked lists",
@@ -55,13 +55,13 @@ type multilistCfg struct {
 	iters int // rounds over the 1/2/4/8 phase ladder
 }
 
-func multilistSizes(s Size) multilistCfg {
+func multilistSizes(s olden.Size) multilistCfg {
 	switch s {
-	case SizeTest:
+	case olden.SizeTest:
 		return multilistCfg{nodes: 24, iters: 1}
-	case SizeSmall:
+	case olden.SizeSmall:
 		return multilistCfg{nodes: 512, iters: 2}
-	case SizeLarge:
+	case olden.SizeLarge:
 		// 8 x 10K x 16B = ~1.3MB of nodes: well past the L2.
 		return multilistCfg{nodes: 10000, iters: 3}
 	default:
@@ -71,7 +71,7 @@ func multilistSizes(s Size) multilistCfg {
 	}
 }
 
-func multilistKernel(p Params) func(*ir.Asm) {
+func multilistKernel(p olden.Params) func(*ir.Asm) {
 	cfg := multilistSizes(p.Size)
 	idiom := p.SWIdiom(core.IdiomQueue)
 	isCoop := p.Coop()

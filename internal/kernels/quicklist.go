@@ -35,7 +35,7 @@ const (
 )
 
 func init() {
-	Register(&Benchmark{
+	olden.Register(olden.FamilyKernels, &olden.Benchmark{
 		Name:        "quicklist",
 		Description: "list that maintains its own jump pointers (QuickList)",
 		Structures:  "singly-linked list + structural skip pointers",
@@ -53,13 +53,13 @@ type quicklistCfg struct {
 	churn  int // insert/remove pairs per round
 }
 
-func quicklistSizes(s Size) quicklistCfg {
+func quicklistSizes(s olden.Size) quicklistCfg {
 	switch s {
-	case SizeTest:
+	case olden.SizeTest:
 		return quicklistCfg{nodes: 48, rounds: 2, churn: 6}
-	case SizeSmall:
+	case olden.SizeSmall:
 		return quicklistCfg{nodes: 2048, rounds: 3, churn: 128}
-	case SizeLarge:
+	case olden.SizeLarge:
 		// 64K x 16B = 1MB of nodes: well past the L2.
 		return quicklistCfg{nodes: 64000, rounds: 4, churn: 4000}
 	default:
@@ -69,7 +69,7 @@ func quicklistSizes(s Size) quicklistCfg {
 	}
 }
 
-func quicklistKernel(p Params) func(*ir.Asm) {
+func quicklistKernel(p olden.Params) func(*ir.Asm) {
 	cfg := quicklistSizes(p.Size)
 	idiom := p.SWIdiom(core.IdiomChain)
 	isCoop := p.Coop()

@@ -39,7 +39,7 @@ const (
 )
 
 func init() {
-	Register(&Benchmark{
+	olden.Register(olden.FamilyKernels, &olden.Benchmark{
 		Name:        "skiplist",
 		Description: "probabilistic skip list with descents and backbone scans",
 		Structures:  "level-0 backbone + geometric towers of forward pointers",
@@ -57,13 +57,13 @@ type skiplistCfg struct {
 	searches int // descents per batch
 }
 
-func skiplistSizes(s Size) skiplistCfg {
+func skiplistSizes(s olden.Size) skiplistCfg {
 	switch s {
-	case SizeTest:
+	case olden.SizeTest:
 		return skiplistCfg{nodes: 48, batches: 2, searches: 16}
-	case SizeSmall:
+	case olden.SizeSmall:
 		return skiplistCfg{nodes: 2048, batches: 4, searches: 256}
-	case SizeLarge:
+	case olden.SizeLarge:
 		// 20K x 64B = ~1.3MB of nodes: well past the L2.
 		return skiplistCfg{nodes: 20000, batches: 8, searches: 1500}
 	default:
@@ -73,7 +73,7 @@ func skiplistSizes(s Size) skiplistCfg {
 	}
 }
 
-func skiplistKernel(p Params) func(*ir.Asm) {
+func skiplistKernel(p olden.Params) func(*ir.Asm) {
 	cfg := skiplistSizes(p.Size)
 	idiom := p.SWIdiom(core.IdiomQueue)
 	isCoop := p.Coop()

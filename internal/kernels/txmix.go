@@ -47,7 +47,7 @@ const (
 )
 
 func init() {
-	Register(&Benchmark{
+	olden.Register(olden.FamilyKernels, &olden.Benchmark{
 		Name:        "txmix",
 		Description: "zipf transactional read/write mix over record chains",
 		Structures:  "record directory + per-record field chains",
@@ -65,13 +65,13 @@ type txmixCfg struct {
 	txns    int
 }
 
-func txmixSizes(s Size) txmixCfg {
+func txmixSizes(s olden.Size) txmixCfg {
 	switch s {
-	case SizeTest:
+	case olden.SizeTest:
 		return txmixCfg{records: 16, chain: 6, txns: 24}
-	case SizeSmall:
+	case olden.SizeSmall:
 		return txmixCfg{records: 256, chain: 12, txns: 800}
-	case SizeLarge:
+	case olden.SizeLarge:
 		// 2K records x 32 fields x 16B = ~1MB of chain data: well past
 		// the L2.
 		return txmixCfg{records: 2048, chain: 32, txns: 8000}
@@ -82,7 +82,7 @@ func txmixSizes(s Size) txmixCfg {
 	}
 }
 
-func txmixKernel(p Params) func(*ir.Asm) {
+func txmixKernel(p olden.Params) func(*ir.Asm) {
 	cfg := txmixSizes(p.Size)
 	idiom := p.SWIdiom(core.IdiomQueue)
 	isCoop := p.Coop()

@@ -33,7 +33,7 @@ const (
 )
 
 func init() {
-	register(&Benchmark{
+	Register(FamilyOlden, &Benchmark{
 		Name:        "bh",
 		Description: "Barnes-Hut N-body force computation",
 		Structures:  "body list (backbone) + octree with data-dependent descent",

@@ -29,7 +29,7 @@ const (
 )
 
 func init() {
-	register(&Benchmark{
+	Register(FamilyOlden, &Benchmark{
 		Name:        "bisort",
 		Description: "bitonic sort over a binary tree with subtree swaps",
 		Structures:  "binary tree, extremely volatile (subtree swaps)",

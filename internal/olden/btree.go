@@ -42,7 +42,7 @@ const (
 )
 
 func init() {
-	register(&Benchmark{
+	Register(FamilyOlden, &Benchmark{
 		Name:        "btree",
 		Description: "B+-tree index: point lookups + leaf-chain range scans (extension)",
 		Structures:  "fixed-fanout search tree over a linked leaf level",

@@ -45,7 +45,7 @@ const (
 )
 
 func init() {
-	register(&Benchmark{
+	Register(FamilyOlden, &Benchmark{
 		Name:        "em3d",
 		Description: "electromagnetic wave propagation on a bipartite graph",
 		Structures:  "two linked node lists + per-node pointer arrays (backbone-and-ribs)",

@@ -47,7 +47,7 @@ const (
 )
 
 func init() {
-	register(&Benchmark{
+	Register(FamilyOlden, &Benchmark{
 		Name:        "health",
 		Description: "hierarchical health-care system simulation",
 		Structures:  "village tree + dynamic doubly-linked patient lists",

@@ -33,7 +33,7 @@ const (
 )
 
 func init() {
-	register(&Benchmark{
+	Register(FamilyOlden, &Benchmark{
 		Name:        "mst",
 		Description: "minimum spanning tree over hash-table adjacency (Bentley)",
 		Structures:  "per-vertex hash tables with short bucket chains",

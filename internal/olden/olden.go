@@ -9,6 +9,11 @@
 // cooperative schemes change the emitted code (jump-pointer creation
 // and prefetch instructions per the selected idiom), while the DBP and
 // hardware schemes leave the code untouched.
+//
+// The package also holds the repo's one workload registry: the Olden
+// family registers here, and so does the kernels family
+// (internal/kernels), which shares the Benchmark descriptor, Params,
+// Size and RNG.
 package olden
 
 import (
@@ -139,40 +144,64 @@ type Benchmark struct {
 	Extension bool
 	// Kernel builds the workload for the given parameters.
 	Kernel func(p Params) func(*ir.Asm)
+	// Family is the workload family the descriptor was registered in;
+	// Register sets it.
+	Family Family
 }
+
+// Family groups the registered workloads.  Listings put the Olden
+// family first, then the kernels family (internal/kernels), each
+// alphabetically.
+type Family int
+
+// Workload families.
+const (
+	FamilyOlden Family = iota
+	FamilyKernels
+)
 
 var registry = map[string]*Benchmark{}
 
-func register(b *Benchmark) {
+// Register adds a workload of family f to the one workload registry.
+// It panics on a duplicate name, so no workload shadows another, in its
+// own family or the other.
+func Register(f Family, b *Benchmark) {
 	if _, dup := registry[b.Name]; dup {
 		panic("olden: duplicate benchmark " + b.Name)
 	}
+	b.Family = f
 	registry[b.Name] = b
 }
 
-// Names returns all benchmark names in alphabetical order (the paper's
-// presentation order).
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ByName looks up a benchmark.
+// ByName looks up a workload of either family.
 func ByName(name string) (*Benchmark, bool) {
 	b, ok := registry[name]
 	return b, ok
 }
 
-// All returns every benchmark (suite + extensions) alphabetically.
+// All returns every registered workload: the Olden family (suite and
+// extensions) alphabetically, then the kernels family alphabetically.
+// The kernels family is present whenever internal/kernels is linked in.
 func All() []*Benchmark {
-	names := Names()
-	out := make([]*Benchmark, len(names))
-	for i, n := range names {
-		out[i] = registry[n]
+	out := make([]*Benchmark, 0, len(registry))
+	for _, b := range registry {
+		out = append(out, b)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Family != out[j].Family {
+			return out[i].Family < out[j].Family
+		}
+		return out[i].Name < out[j].Name
+	})
+	return out
+}
+
+// Names returns the names of every registered workload in All order.
+func Names() []string {
+	all := All()
+	out := make([]string, len(all))
+	for i, b := range all {
+		out[i] = b.Name
 	}
 	return out
 }

@@ -28,7 +28,7 @@ const (
 )
 
 func init() {
-	register(&Benchmark{
+	Register(FamilyOlden, &Benchmark{
 		Name:        "perimeter",
 		Description: "perimeter of a quadtree-encoded image region",
 		Structures:  "quadtree (backbone only)",

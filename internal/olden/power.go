@@ -30,7 +30,7 @@ const (
 )
 
 func init() {
-	register(&Benchmark{
+	Register(FamilyOlden, &Benchmark{
 		Name:        "power",
 		Description: "power system pricing optimization (compute bound)",
 		Structures:  "fixed multiway distribution tree",

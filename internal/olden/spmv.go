@@ -34,7 +34,7 @@ const (
 )
 
 func init() {
-	register(&Benchmark{
+	Register(FamilyOlden, &Benchmark{
 		Name:        "spmv",
 		Description: "sparse matrix-vector product over linked element rows (extension)",
 		Structures:  "per-row element chains + dense x/y vectors",

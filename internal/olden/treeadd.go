@@ -28,7 +28,7 @@ const (
 )
 
 func init() {
-	register(&Benchmark{
+	Register(FamilyOlden, &Benchmark{
 		Name:        "treeadd",
 		Description: "recursive sum over a balanced binary tree",
 		Structures:  "static balanced binary tree",

@@ -32,7 +32,7 @@ const (
 )
 
 func init() {
-	register(&Benchmark{
+	Register(FamilyOlden, &Benchmark{
 		Name:        "tsp",
 		Description: "closest-point heuristic travelling-salesman tour",
 		Structures:  "doubly-linked tour lists spliced by divide-and-conquer merges",

@@ -30,7 +30,7 @@ const (
 )
 
 func init() {
-	register(&Benchmark{
+	Register(FamilyOlden, &Benchmark{
 		Name:        "voronoi",
 		Description: "Voronoi diagram by divide and conquer",
 		Structures:  "large point arrays + small linked edge lists",

@@ -310,7 +310,7 @@ func CheckProgram(seed uint64, cfg Config) []Failure {
 // schemes, and no scheme may blow past the cycle-sanity bound.
 func CheckKernel(bench string, size olden.Size, cfg Config) []Failure {
 	cfg = cfg.norm()
-	b, ok := harness.BenchByName(bench)
+	b, ok := olden.ByName(bench)
 	if !ok {
 		return []Failure{{Subject: bench, Check: "run", Detail: "unknown benchmark"}}
 	}
@@ -400,7 +400,7 @@ func RunMatrix(w io.Writer, o MatrixOptions) []Failure {
 	}
 	benches := o.Benches
 	if benches == nil {
-		benches = harness.BenchNames()
+		benches = olden.Names()
 	}
 	if o.Size == 0 {
 		o.Size = olden.SizeTest

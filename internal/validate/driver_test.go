@@ -8,15 +8,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/harness"
 	"repro/internal/olden"
 )
 
-// -matrix-size selects the Olden differential matrix input size, so CI
+// -matrix-size selects the differential workload matrix input size, so CI
 // can run the matrix at "small" while the default `go test` stays fast.
 var matrixSize = flag.String("matrix-size", "test", "differential matrix input size (test|small)")
 
-func matrixOldenSize(t *testing.T) olden.Size {
+func matrixInputSize(t *testing.T) olden.Size {
 	t.Helper()
 	switch *matrixSize {
 	case "test":
@@ -28,12 +27,13 @@ func matrixOldenSize(t *testing.T) olden.Size {
 	return olden.SizeTest
 }
 
-// TestDifferentialOldenMatrix is the acceptance gate: every Olden
-// kernel, under every prefetch scheme, with cycle skipping both on and
-// off, must commit a stream byte-identical to the in-order oracle's.
-func TestDifferentialOldenMatrix(t *testing.T) {
-	size := matrixOldenSize(t)
-	for _, bench := range harness.BenchNames() {
+// TestDifferentialWorkloadMatrix is the acceptance gate: every
+// registered workload, Olden and kernels family alike, under every
+// prefetch scheme, with cycle skipping both on and off, must commit a
+// stream byte-identical to the in-order oracle's.
+func TestDifferentialWorkloadMatrix(t *testing.T) {
+	size := matrixInputSize(t)
+	for _, bench := range olden.Names() {
 		bench := bench
 		t.Run(bench, func(t *testing.T) {
 			t.Parallel()

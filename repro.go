@@ -96,7 +96,8 @@ const (
 
 // Config describes one simulation.
 type Config struct {
-	// Bench names an Olden workload; see Benchmarks().
+	// Bench names a registered workload, Olden or kernels family; see
+	// Benchmarks().
 	Bench string
 	// Scheme is the prefetching implementation to apply.
 	Scheme Scheme
@@ -111,7 +112,8 @@ type Config struct {
 	Interval int
 	// Size scales the workload (default SizeFull).
 	Size Size
-	// MemLatency overrides the 70-cycle main memory latency.
+	// MemLatency overrides the 70-cycle main memory latency, also that
+	// of Machine (whose struct is copied, never modified).
 	MemLatency int
 
 	// Sampling, when non-nil, switches the run to SMARTS-style sampled
@@ -157,8 +159,11 @@ func (c Config) spec() harness.Spec {
 		HW:       c.HW,
 		Sampling: c.Sampling,
 	}
-	if c.MemLatency > 0 && spec.Mem == nil {
+	if c.MemLatency > 0 {
 		m := cache.Defaults()
+		if c.Machine != nil {
+			m = *c.Machine
+		}
 		m.MemLatency = c.MemLatency
 		spec.Mem = &m
 	}
@@ -190,11 +195,11 @@ type BenchmarkInfo struct {
 	Traversals  int
 }
 
-// Benchmarks lists the available workloads from both kernel families:
-// the Olden suite and the modern internal/kernels family.
+// Benchmarks lists every registered workload: the Olden family, then
+// the internal/kernels family, each alphabetically.
 func Benchmarks() []BenchmarkInfo {
 	var out []BenchmarkInfo
-	for _, b := range harness.AllBenches() {
+	for _, b := range olden.All() {
 		out = append(out, BenchmarkInfo{
 			Name:        b.Name,
 			Description: b.Description,

@@ -3,6 +3,8 @@ package repro
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/cache"
 )
 
 func TestSimulateBasic(t *testing.T) {
@@ -42,6 +44,29 @@ func TestMemLatencyOverride(t *testing.T) {
 	}
 	if slow.CPU.Cycles <= fast.CPU.Cycles {
 		t.Fatalf("latency override has no effect: %d vs %d", slow.CPU.Cycles, fast.CPU.Cycles)
+	}
+}
+
+// TestMemLatencyOverridesMachine: MemLatency applies on top of an
+// explicit Machine, and the caller's Machine is left as it was.
+func TestMemLatencyOverridesMachine(t *testing.T) {
+	cfg := Config{Bench: "treeadd", Scheme: SchemeNone, Size: SizeTest, MemLatency: 500}
+	want, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := cache.Defaults()
+	cfg.Machine = &m
+	got, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.CPU.Cycles != want.CPU.Cycles {
+		t.Errorf("MemLatency with Machine set: %d cycles, want %d as without Machine",
+			got.CPU.Cycles, want.CPU.Cycles)
+	}
+	if m != cache.Defaults() {
+		t.Errorf("Simulate modified the caller's Machine: MemLatency %d", m.MemLatency)
 	}
 }
 
