@@ -144,6 +144,15 @@ type Hierarchy struct {
 	// step over them.  A slot packs the fill's completion cycle above
 	// its line index (line >> lineShift, 32-lineShift bits); 0 is an
 	// empty slot.
+	//
+	// Known defect, recorded in the ROADMAP's store back-pressure item:
+	// AccessData calls insertInflight with the post-TLB now, so the
+	// insert's probe reclaims fills that complete during the inserting
+	// access's TLB walk when they lie on its probe run.  A later access
+	// requested before such a fill's completion then misses it or
+	// merges with it depending on the hash layout, so the table's hash,
+	// capacity and growth rule are part of the simulated results until
+	// reclaiming uses the request cycle.
 	inflight      []uint64
 	inflightN     int
 	inflightShift uint
@@ -151,8 +160,9 @@ type Hierarchy struct {
 	// distinct is a two-level bitmap over L1-line indices recording
 	// every line demand accesses ever touched (the Table 1 footprint
 	// metric).  Leaves allocate lazily, 4 KiB per 1 MiB of touched
-	// address space.
-	distinct      [][]uint64
+	// address space; the directory holds one pointer per leaf (32 KiB
+	// with 32-byte lines).
+	distinct      []*distinctLeaf
 	distinctCount int
 	lineShift     uint
 
@@ -171,6 +181,8 @@ const inflightInitSlots = 256
 // distinctLeafBits sizes the distinct-line bitmap leaves: each leaf
 // covers 2^distinctLeafBits consecutive line indices.
 const distinctLeafBits = 15
+
+type distinctLeaf [(1 << distinctLeafBits) / 64]uint64
 
 // New builds a hierarchy.
 func New(p Params) *Hierarchy {
@@ -191,7 +203,7 @@ func New(p Params) *Hierarchy {
 		inflight: make([]uint64, inflightInitSlots),
 		// 32-bit hash >> shift indexes the table: shift = 32 - log2(slots).
 		inflightShift: 32 - uint(bits.Len(uint(inflightInitSlots-1))),
-		distinct:      make([][]uint64, 1<<(32-lineShift-distinctLeafBits)),
+		distinct:      make([]*distinctLeaf, 1<<(32-lineShift-distinctLeafBits)),
 		lineShift:     lineShift,
 		tr:            stats.NewTracker(),
 	}
@@ -206,7 +218,7 @@ func (h *Hierarchy) markDistinct(line uint32) {
 	idx := line >> h.lineShift
 	leaf := h.distinct[idx>>distinctLeafBits]
 	if leaf == nil {
-		leaf = make([]uint64, (1<<distinctLeafBits)/64)
+		leaf = new(distinctLeaf)
 		h.distinct[idx>>distinctLeafBits] = leaf
 	}
 	bit := idx & (1<<distinctLeafBits - 1)

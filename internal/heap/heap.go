@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/bits"
+	"sort"
 
 	"repro/internal/mem"
 )
@@ -51,15 +52,27 @@ type Allocator struct {
 	limit  mem.Addr
 	arenas []*arena
 
-	// meta records the class of every live block so PaddingAddr and
-	// Free can validate their arguments.  It is a paged array indexed
-	// by heap offset in MinClass granules (every block start is
-	// class-aligned, hence granule-aligned): a metadata probe is two
-	// indexed loads instead of a map probe, which matters because the
-	// prefetch engines interrogate block geometry on every chase.
-	// Pages materialize as the bump pointer advances, so the table's
-	// size tracks the heap actually used, not the address space.
+	// meta records the class and payload of every live block so
+	// PaddingAddr and Free can validate their arguments.  It is a paged
+	// array of 2-byte blockMeta slots indexed by heap offset in MinClass
+	// granules (every block start is class-aligned, hence
+	// granule-aligned): a metadata probe is two indexed loads instead
+	// of a map probe, which matters because the prefetch engines
+	// interrogate block geometry on every chase.  Pages materialize as
+	// the bump pointer advances, so the table's size tracks the heap
+	// actually used, not the address space.
 	meta []*metaPage
+
+	// bigSlack holds the slack of the blocks whose slot reads slackBig,
+	// keyed by block address (only blocks of 4 KiB and up can need it).
+	bigSlack map[mem.Addr]uint32
+
+	// chunks lists every chunk an arena has claimed, in ascending
+	// address order (chunks come from the global bump pointer, which
+	// only grows).  A block belongs to the last chunk starting at or
+	// below it, so Free finds the block's arena without the slot
+	// storing it.
+	chunks []chunk
 
 	// Stats.
 	allocs     int
@@ -72,7 +85,7 @@ type Allocator struct {
 // page covers metaPageSlots*MinClass = 64 KiB of heap address space.
 const metaPageSlots = 1 << 13
 
-type metaPage [metaPageSlots]blockInfo
+type metaPage [metaPageSlots]blockMeta
 
 type arena struct {
 	next mem.Addr
@@ -82,39 +95,35 @@ type arena struct {
 	free [32][]mem.Addr
 }
 
-// blockInfo is one 8-byte metadata slot.  tag packs the block's arena
-// above log2 of its class (arena<<5 | log2(class)); every class is at
-// least MinClass, so a live block's tag is nonzero and 0 = no block.
-type blockInfo struct {
-	payload uint32 // requested size in bytes
-	tag     uint32
+// chunk records that arena claimed the address space from start to the
+// next chunk's start.
+type chunk struct {
+	start mem.Addr
+	arena ArenaID
 }
 
-// maxArenas bounds the arena IDs a blockInfo tag can hold (27 bits).
-const maxArenas = 1 << 27
+// blockMeta is one granule's 2-byte metadata slot: log2 of the block's
+// class in the low classBits bits and the slack class−payload above
+// them.  Every class is at least MinClass, so a live block's slot is
+// nonzero and 0 = no block.  A slack of slackBig or more is stored as
+// slackBig and kept in Allocator.bigSlack; the field holds every slack
+// below that, which covers every payload of every class up to 4 KiB
+// save the 2049-byte one.
+type blockMeta uint16
 
-// newBlockInfo encodes a live block's metadata.  It panics for an
-// arena ID the tag cannot hold.
-func newBlockInfo(id ArenaID, class, payload uint32) blockInfo {
-	if uint(id) >= maxArenas {
-		panic(fmt.Sprintf("heap: arena %d past the metadata limit of %d arenas", id, maxArenas))
-	}
-	return blockInfo{payload: payload, tag: uint32(id)<<5 | uint32(bits.Len32(class)-1)}
-}
+const (
+	classBits = 5
+	slackBig  = 1<<(16-classBits) - 1
+)
 
 // classIdx is log2 of the block size, the arena free-list index.
-func (b blockInfo) classIdx() uint32 { return b.tag & 31 }
+func (m blockMeta) classIdx() uint32 { return uint32(m) & (1<<classBits - 1) }
 
 // class is the block size in bytes (a power of two).
-func (b blockInfo) class() uint32 { return 1 << b.classIdx() }
+func (m blockMeta) class() uint32 { return 1 << m.classIdx() }
 
-// arena is the arena the block was allocated in.
-func (b blockInfo) arena() ArenaID { return ArenaID(b.tag >> 5) }
-
-// paddingWords is the number of whole words after the payload.
-func (b blockInfo) paddingWords() uint32 {
-	return b.class()/mem.WordBytes - (b.payload+mem.WordBytes-1)/mem.WordBytes
-}
+// slackField is the slot's slack, or slackBig if bigSlack holds it.
+func (m blockMeta) slackField() uint32 { return uint32(m) >> classBits }
 
 // New returns an allocator that places blocks into img starting at Base.
 func New(img *mem.Image) *Allocator {
@@ -132,26 +141,22 @@ func (a *Allocator) NewArena() ArenaID {
 	return ArenaID(len(a.arenas) - 1)
 }
 
-// info returns the metadata slot for a live block starting at addr, or
-// nil if addr is not a live block start.
-func (a *Allocator) info(addr mem.Addr) *blockInfo {
+// info returns the metadata of the live block starting at addr, or 0
+// if addr is not a live block start.
+func (a *Allocator) info(addr mem.Addr) blockMeta {
 	if addr < Base || addr&(MinClass-1) != 0 {
-		return nil
+		return 0
 	}
 	slot := (addr - Base) / MinClass
 	pi := int(slot / metaPageSlots)
 	if pi >= len(a.meta) || a.meta[pi] == nil {
-		return nil
+		return 0
 	}
-	bi := &a.meta[pi][slot%metaPageSlots]
-	if bi.tag == 0 {
-		return nil
-	}
-	return bi
+	return a.meta[pi][slot%metaPageSlots]
 }
 
 // metaSlot returns addr's metadata slot, materializing its page.
-func (a *Allocator) metaSlot(addr mem.Addr) *blockInfo {
+func (a *Allocator) metaSlot(addr mem.Addr) *blockMeta {
 	slot := (addr - Base) / MinClass
 	pi := int(slot / metaPageSlots)
 	for pi >= len(a.meta) {
@@ -161,6 +166,33 @@ func (a *Allocator) metaSlot(addr mem.Addr) *blockInfo {
 		a.meta[pi] = new(metaPage)
 	}
 	return &a.meta[pi][slot%metaPageSlots]
+}
+
+// slack returns class−payload of the live block at addr whose slot is m.
+func (a *Allocator) slack(addr mem.Addr, m blockMeta) uint32 {
+	if s := m.slackField(); s != slackBig {
+		return s
+	}
+	return a.bigSlack[addr]
+}
+
+// setMeta records a live block of class and payload bytes at addr.
+func (a *Allocator) setMeta(addr mem.Addr, class, payload uint32) {
+	slack := class - payload
+	if slack >= slackBig {
+		if a.bigSlack == nil {
+			a.bigSlack = map[mem.Addr]uint32{}
+		}
+		a.bigSlack[addr] = slack
+		slack = slackBig
+	}
+	*a.metaSlot(addr) = blockMeta(slack<<classBits | uint32(bits.Len32(class)-1))
+}
+
+// arenaOf returns the arena whose chunk holds addr.
+func (a *Allocator) arenaOf(addr mem.Addr) ArenaID {
+	i := sort.Search(len(a.chunks), func(i int) bool { return a.chunks[i].start > addr })
+	return a.chunks[i-1].arena
 }
 
 // SizeClass returns the power-of-two block size used for a payload of n
@@ -201,13 +233,14 @@ func (a *Allocator) AllocIn(id ArenaID, n uint32) mem.Addr {
 		if ar.next+mem.Addr(class) > ar.end {
 			// Claim a fresh chunk from the global region, sized to fit
 			// at least one block of this class.
-			chunk := mem.Addr(arenaChunk)
-			if mem.Addr(class) > chunk {
-				chunk = mem.Addr(class)
+			size := mem.Addr(arenaChunk)
+			if mem.Addr(class) > size {
+				size = mem.Addr(class)
 			}
 			a.next = (a.next + mask) &^ mask
 			ar.next = a.next
-			ar.end = a.next + chunk
+			a.chunks = append(a.chunks, chunk{start: a.next, arena: id})
+			ar.end = a.next + size
 			a.next = ar.end
 			if a.next > a.limit {
 				panic(fmt.Sprintf("heap: out of simulated memory (next=%#x)", a.next))
@@ -220,7 +253,7 @@ func (a *Allocator) AllocIn(id ArenaID, n uint32) mem.Addr {
 	for off := uint32(0); off < class; off += mem.WordBytes {
 		a.img.WriteWord(addr+mem.Addr(off), 0)
 	}
-	*a.metaSlot(addr) = newBlockInfo(id, class, n)
+	a.setMeta(addr, class, n)
 	a.allocs++
 	a.liveBytes += int(class)
 	return addr
@@ -228,23 +261,26 @@ func (a *Allocator) AllocIn(id ArenaID, n uint32) mem.Addr {
 
 // Free returns the block at addr to its arena's size-class free list.
 func (a *Allocator) Free(addr mem.Addr) {
-	bi := a.info(addr)
-	if bi == nil {
+	m := a.info(addr)
+	if m == 0 {
 		panic(fmt.Sprintf("heap: free of unallocated address %#x", addr))
 	}
-	ar := a.arenas[bi.arena()]
-	cidx := bi.classIdx()
+	ar := a.arenas[a.arenaOf(addr)]
+	cidx := m.classIdx()
 	ar.free[cidx] = append(ar.free[cidx], addr)
 	a.frees++
-	a.liveBytes -= int(bi.class())
-	*bi = blockInfo{}
+	a.liveBytes -= int(m.class())
+	if m.slackField() == slackBig {
+		delete(a.bigSlack, addr)
+	}
+	*a.metaSlot(addr) = 0
 }
 
 // BlockSize returns the block (class) size in bytes of the live block at
 // addr, or 0 if addr is not a live block start.
 func (a *Allocator) BlockSize(addr mem.Addr) uint32 {
-	if bi := a.info(addr); bi != nil {
-		return bi.class()
+	if m := a.info(addr); m != 0 {
+		return m.class()
 	}
 	return 0
 }
@@ -252,8 +288,8 @@ func (a *Allocator) BlockSize(addr mem.Addr) uint32 {
 // PayloadSize returns the requested payload size of the live block at
 // addr, or 0 if addr is not a live block start.
 func (a *Allocator) PayloadSize(addr mem.Addr) uint32 {
-	if bi := a.info(addr); bi != nil {
-		return bi.payload
+	if m := a.info(addr); m != 0 {
+		return m.class() - a.slack(addr, m)
 	}
 	return 0
 }
@@ -263,8 +299,10 @@ func (a *Allocator) PayloadSize(addr mem.Addr) uint32 {
 // block and no jump-pointer storage is available (paper §3.3: "if the
 // size is exactly a power of two ... the unvaried load is used").
 func (a *Allocator) PaddingWords(addr mem.Addr) uint32 {
-	if bi := a.info(addr); bi != nil {
-		return bi.paddingWords()
+	if m := a.info(addr); m != 0 {
+		// The class is a whole number of words, so the whole words
+		// after the payload are the whole words in the slack.
+		return a.slack(addr, m) / mem.WordBytes
 	}
 	return 0
 }
@@ -275,11 +313,13 @@ func (a *Allocator) PaddingWords(addr mem.Addr) uint32 {
 // size variant; we derive it from the allocator's records, which encodes
 // the same information.
 func (a *Allocator) PaddingAddr(addr mem.Addr) (mem.Addr, bool) {
-	bi := a.info(addr)
-	if bi == nil || bi.paddingWords() == 0 {
+	// Padding exists iff the slack holds a whole word; a slot reading
+	// slackBig stands for a slack larger still.
+	m := a.info(addr)
+	if m == 0 || m.slackField() < mem.WordBytes {
 		return 0, false
 	}
-	return addr + mem.Addr(bi.class()) - mem.WordBytes, true
+	return addr + mem.Addr(m.class()) - mem.WordBytes, true
 }
 
 // PaddingAddrForBlock computes the jump-pointer slot for a block of the
@@ -335,15 +375,15 @@ func (a *Allocator) PayloadChecksum() uint64 {
 		if pg == nil {
 			continue
 		}
-		for si := range pg {
-			bi := &pg[si]
-			if bi.tag == 0 {
+		for si, m := range pg {
+			if m == 0 {
 				continue
 			}
 			addr := Base + mem.Addr(pi*metaPageSlots+si)*MinClass
+			payload := m.class() - a.slack(addr, m)
 			word(uint32(addr))
-			word(bi.payload)
-			payloadWords := (bi.payload + mem.WordBytes - 1) / mem.WordBytes
+			word(payload)
+			payloadWords := (payload + mem.WordBytes - 1) / mem.WordBytes
 			for off := uint32(0); off < payloadWords; off++ {
 				word(a.img.ReadWord(addr + mem.Addr(off*mem.WordBytes)))
 			}

@@ -6,8 +6,9 @@ import "repro/internal/heap"
 // goroutine to the timing model at a time.  It bounds how far the
 // functional execution (and therefore the memory image) can run ahead of
 // the timing model: prefetch engines may observe stores up to one batch
-// early, which is far below the reuse distances that matter for these
-// workloads.
+// early.  That skew moves simulated results (cooperative-scheme
+// speedups change when the batch shrinks); DESIGN.md §1 and the
+// ROADMAP's run-ahead item record the measurement and the fix.
 const BatchSize = 4096
 
 // stopGen is the panic value used to unwind a kernel goroutine when the

@@ -42,7 +42,11 @@ func matrixSize(t *testing.T) olden.Size {
 
 // TestKernelSnapshotEquivalence asserts that cycle skipping and block
 // replay are invisible in the full statistics snapshot for every
-// kernel x scheme, and that every snapshot passes stats.Validate.
+// kernel x scheme, and that every snapshot passes stats.Validate.  At
+// the test size internal/harness makes the same checks for every
+// registered workload (TestCycleSkipEquivalence,
+// TestBlockReplayEquivalence, TestStatsInvariantsAllKernelsAllEngines);
+// the coverage this test adds is its -conformance-size=small run.
 func TestKernelSnapshotEquivalence(t *testing.T) {
 	size := matrixSize(t)
 	for _, b := range kernels.All() {
