@@ -27,11 +27,11 @@
 // are exact, cycle counts are extrapolated estimates with error bars.
 // -sample-period/-sample-detail/-sample-warmup tune the unit geometry.
 //
-// -noreplay disables the front-end decoded basic-block replay cache,
-// forcing the per-instruction emission and dispatch paths.  Results are
-// bit-identical either way (the replay section of the stats snapshot is
-// simply absent); the flag exists for A/B performance measurements and
-// for ruling replay out when debugging.
+// -noreplay disables the generator's decoded basic-block replay cache,
+// forcing the per-instruction emission path; the core's front end is
+// the same either way.  Results are bit-identical (the replay section
+// of the stats snapshot is simply absent); the flag exists for A/B
+// performance measurements and for ruling replay out when debugging.
 //
 // -cpuprofile/-memprofile write pprof profiles of the simulator itself
 // (not the simulated machine); the two flags compose — with both set,

@@ -50,13 +50,15 @@ func BenchmarkCore(b *testing.B) {
 var perfSmoke = flag.Bool("perfsmoke", false,
 	"run the replay on/off throughput smoke (wall-clock sensitive)")
 
-// TestReplayPerfSmoke asserts the block-replay front end is never
-// slower than the per-instruction path beyond noise: it interleaves
-// replay-on and replay-off runs of a few representative kernels (small
-// inputs, cooperative scheme), takes the best sim-MIPS of each mode per
-// kernel, and requires the replay-on geomean to stay above 75% of the
-// replay-off geomean — a bound loose enough for shared CI runners but
-// far above any systematic replay regression.
+// TestReplayPerfSmoke asserts the generator's block-replay cache is
+// never slower than live-metadata emission beyond noise.  Both modes
+// run the same span dispatch in the core, so the comparison isolates
+// the emission memoizer.  It interleaves replay-on and replay-off runs
+// of a few representative kernels (small inputs, cooperative scheme),
+// takes the best sim-MIPS of each mode per kernel, and requires the
+// replay-on geomean to stay above 75% of the replay-off geomean — a
+// bound loose enough for shared CI runners but far above any systematic
+// replay regression.
 func TestReplayPerfSmoke(t *testing.T) {
 	if !*perfSmoke {
 		t.Skip("pass -perfsmoke to run the replay throughput smoke")

@@ -247,6 +247,6 @@ func (h *HWEngine) OnLoadIssue(now uint64, d *ir.DynInst) {
 	// Prefetch the target node block, and spawn speculative instances
 	// of this load's known consumers with the target as their base —
 	// the JPR value acting as the speculative input (Figure 3(c)).
-	h.EnqueuePrefetch(target, d.PC, 0, dbp.OJump)
+	h.EnqueuePrefetch(target, d.PC, 0)
 	h.ChaseFrom(d.PC, target, 0)
 }

@@ -92,12 +92,15 @@ type Config struct {
 	// flag exists for validation and throughput comparisons.
 	DisableCycleSkip bool
 
-	// DisableBlockReplay forces the per-instruction fetch path even when
-	// the generator carries decoded-block dispatch metadata, and (via
-	// the harness) disables the generator's basic-block replay cache.
-	// The two modes are cycle-exact equivalents (tests assert identical
-	// statistics); the flag exists for validation and throughput
-	// comparisons.
+	// DisableBlockReplay turns off the generator's basic-block replay
+	// cache (ir.GenOptions.DisableReplay).  The core does not read it:
+	// it dispatches from the generator's per-instruction metadata in
+	// both modes.  It stays in the machine config because that is what
+	// jppsim -noreplay, the validation matrix and the jppbench benchmark
+	// set or read; the harness forwards it to the generator and drops
+	// the snapshot's replay section when it is set.  Both modes produce
+	// identical statistics (tests assert it); the flag exists for
+	// validation and throughput comparisons.
 	DisableBlockReplay bool
 
 	// InjectFault deliberately plants one architectural bug into the
@@ -281,19 +284,16 @@ type Core struct {
 	fetchReadyAt uint64
 	// blockSeq is the sequence of a mispredicted branch fetch waits on.
 	blockSeq uint64
-	fetched  *ir.DynInst // staged instruction not yet dispatched
-	curLine  uint32      // current fetch line (+1 so 0 means none)
 	// genDone records that the generator has been observed exhausted.
 	genDone bool
 
-	// Block-replay front end (fetchDispatchSpan): when the generator
-	// carries decoded-block dispatch metadata, fetch walks whole
-	// replayed batches (span/spanMeta/spanPos) instead of staging one
-	// instruction at a time.  spanLineDone latches that the current
-	// head-of-span instruction's fetch line has been requested (the
-	// classic path's curLine-compare equivalent across stall retries);
-	// spanStaged mirrors `fetched != nil` for the skip logic.
-	useSpans     bool
+	// Front end (fetchDispatchSpan): fetch walks whole generator
+	// batches (span/spanMeta/spanPos) with their per-instruction
+	// dispatch metadata.  spanLineDone latches that the head-of-span
+	// instruction's fetch line has been requested, so a stall retry
+	// does not access the I-cache again; spanStaged records that the
+	// head-of-span instruction stalled (on its line or the LSQ) and is
+	// the next to dispatch, for the skip logic.
 	span         []ir.DynInst
 	spanMeta     []ir.InstMeta
 	spanPos      int
@@ -388,11 +388,6 @@ func (c *Core) Run(gen *ir.Gen) Stats {
 	if c.cfg.Sampling != nil {
 		return c.runSampled(gen)
 	}
-	// Block-granular dispatch needs the generator's decoded-block
-	// metadata; without it (or with the knob off) fetch stages one
-	// instruction at a time.  Sampled runs keep the classic path: their
-	// fast-forward consumes the generator one instruction at a time.
-	c.useSpans = !c.cfg.DisableBlockReplay && gen.HasMeta()
 	c.runDetailed(gen, ^uint64(0), true)
 	c.s.Cycles = c.now
 	return c.s
@@ -426,12 +421,7 @@ func (c *Core) runDetailed(gen *ir.Gen, target uint64, fetch bool) bool {
 		// ---- fetch/dispatch ----
 		done := false
 		if fetch {
-			if c.useSpans {
-				done = c.fetchDispatchSpan(gen)
-			} else {
-				done = c.fetchDispatch(gen)
-			}
-			if done {
+			if done = c.fetchDispatchSpan(gen); done {
 				c.genDone = true
 			}
 		}
@@ -580,22 +570,11 @@ func (c *Core) nextEventAt(nextIssue uint64, fetchActive bool) uint64 {
 		// re-stage a full-LSQ memory op (freed by commit, which is
 		// covered above) or poll an exhausted generator to no effect.
 		// The exhausted-generator poll does matter when the window is
-		// empty: it is what ends the run (see the break in Run), so the
-		// stall expiry stays an event in that case.
-		canFetch := false
-		if c.useSpans {
-			// spanStaged mirrors the classic path's `fetched != nil`:
-			// the head-of-span instruction stalled on its line or the
-			// LSQ, so fetch acts only if that specific block clears.
-			if c.spanStaged {
-				canFetch = c.spanMeta[c.spanPos]&ir.MetaMem == 0 || c.lsqUsed < c.cfg.LSQSize
-			} else {
-				canFetch = !c.genDone || c.count == 0
-			}
-		} else if c.fetched != nil {
-			canFetch = !c.fetched.IsMem() || c.lsqUsed < c.cfg.LSQSize
-		} else {
-			canFetch = !c.genDone || c.count == 0
+		// empty: it is what ends the run (see the return in
+		// runDetailed), so the stall expiry stays an event in that case.
+		canFetch := !c.genDone || c.count == 0
+		if c.spanStaged {
+			canFetch = c.spanMeta[c.spanPos]&ir.MetaMem == 0 || c.lsqUsed < c.cfg.LSQSize
 		}
 		if canFetch {
 			t := c.fetchReadyAt
@@ -991,16 +970,14 @@ func (c *Core) dispatch(d *ir.DynInst, isMem, isStore bool) {
 	c.subscribe(tail)
 }
 
-// fetchDispatchSpan is the block-replay front end: it walks whole
-// decoded batches (NextBatch) using the generator's pre-resolved
-// per-instruction metadata, so the hot path performs no class decode,
-// no fetch-line arithmetic, and no per-instruction staging.  Its
-// dispatch decisions — and therefore every timed event — are
-// cycle-exact equivalents of fetchDispatch's: the metadata encodes
-// exactly the classifications and line crossings the classic path
-// computes, and batch refills happen at the same stream positions, so
-// the memory-image run-ahead the prefetch engines observe is identical.
-// It returns true when the stream is exhausted.
+// fetchDispatchSpan is the front end: it brings up to FetchWidth
+// instructions into the window, walking whole decoded batches
+// (NextBatch) with the generator's pre-resolved per-instruction
+// metadata, so the hot path performs no class decode, no fetch-line
+// arithmetic and no per-instruction staging.  The metadata encodes the
+// memory/store/control classification and the fetch-line crossings of
+// a 32-byte-line front end that starts a new line after taken control
+// flow (ir.InstMeta).  It returns true when the stream is exhausted.
 func (c *Core) fetchDispatchSpan(gen *ir.Gen) bool {
 	if c.now < c.fetchReadyAt || c.blockSeq != 0 {
 		return false
@@ -1009,18 +986,14 @@ func (c *Core) fetchDispatchSpan(gen *ir.Gen) bool {
 		if c.count >= c.cfg.WindowSize {
 			return false
 		}
-		if c.spanPos == len(c.span) {
-			ins, meta := gen.NextBatch()
-			if ins == nil {
-				return true
-			}
-			c.span, c.spanMeta, c.spanPos = ins, meta, 0
+		if c.spanPos == len(c.span) && !c.refillSpan(gen) {
+			return true
 		}
 		d := &c.span[c.spanPos]
 		m := c.spanMeta[c.spanPos]
 		// Instruction cache: fetching a new line may stall.  The latch
 		// ensures one access per line per instruction across stall
-		// retries (the classic path's curLine-compare).
+		// retries.
 		if m&ir.MetaNewLine != 0 && !c.spanLineDone {
 			ready, miss := c.hier.AccessInst(c.now, d.PC)
 			c.spanLineDone = true
@@ -1066,69 +1039,13 @@ func (c *Core) fetchDispatchSpan(gen *ir.Gen) bool {
 	return false
 }
 
-// fetchDispatch brings up to FetchWidth instructions into the window.
-// It returns true when the stream is exhausted.
-func (c *Core) fetchDispatch(gen *ir.Gen) bool {
-	if c.now < c.fetchReadyAt || c.blockSeq != 0 {
-		return false
-	}
-	for n := 0; n < c.cfg.FetchWidth; n++ {
-		if c.count >= c.cfg.WindowSize {
-			return false
-		}
-		d := c.fetched
-		if d == nil {
-			d = gen.Next()
-			if d == nil {
-				return true
-			}
-		}
-		// Instruction cache: fetching a new line may stall.
-		line := d.PC>>5<<5 | 1
-		if line != c.curLine {
-			ready, miss := c.hier.AccessInst(c.now, d.PC)
-			c.curLine = line
-			if miss || ready > c.now+1 {
-				c.fetchReadyAt = ready
-				c.fetched = d
-				return false
-			}
-		}
-		// LSQ space.
-		isMem := d.IsMem()
-		if isMem && c.lsqUsed >= c.cfg.LSQSize {
-			c.fetched = d
-			return false
-		}
-		c.fetched = nil
-		c.dispatch(d, isMem, d.Class == ir.Store)
-
-		// Control flow.
-		switch d.Class {
-		case ir.Branch:
-			ok := c.pred.PredictCond(d.PC, d.Taken, d.Target)
-			if !ok {
-				// Freeze fetch until this branch resolves.
-				c.blockSeq = d.Seq
-				return false
-			}
-			if d.Taken {
-				c.curLine = 0 // taken branch ends the fetch group
-				return false
-			}
-		case ir.Jump:
-			if d.Flags&ir.FReturn != 0 {
-				c.curLine = 0
-				return false // perfect return prediction, group ends
-			}
-			if !c.pred.PredictJump(d.PC, d.Target) {
-				c.fetchReadyAt = c.now + 1 + uint64(c.cfg.BTBMissPenalty)
-				c.curLine = 0
-				return false
-			}
-			c.curLine = 0
-			return false
-		}
-	}
-	return false
+// refillSpan replaces the used-up span with the generator's next batch
+// and reports false when the stream is exhausted.  Callers refill only
+// when they need the instruction after the span's last, which bounds
+// the memory-image run-ahead the prefetch engines observe, in detailed
+// and fast-forwarded spans alike.
+func (c *Core) refillSpan(gen *ir.Gen) bool {
+	ins, meta := gen.NextBatch()
+	c.span, c.spanMeta, c.spanPos = ins, meta, 0
+	return ins != nil
 }

@@ -172,25 +172,20 @@ func (c *Core) runSampled(gen *ir.Gen) Stats {
 // advance applied and whether the stream ended.
 func (c *Core) fastForward(gen *ir.Gen, n uint64, sam *SampleStats) (uint64, bool) {
 	var ffed, lastSeq uint64
-	warmLine := uint32(0)
 	done := false
 	for ffed < n {
-		d := c.fetched
-		if d != nil {
-			c.fetched = nil
-		} else {
-			if d = gen.Next(); d == nil {
-				done = true
-				break
-			}
+		if c.spanPos == len(c.span) && !c.refillSpan(gen) {
+			done = true
+			break
 		}
+		d, m := &c.span[c.spanPos], c.spanMeta[c.spanPos]
+		c.spanPos++
 		lastSeq = d.Seq
 
-		// Instruction-side warming, one probe per fetch line (the same
-		// 32B line granularity fetchDispatch uses).
-		if line := d.PC>>5<<5 | 1; line != warmLine {
+		// Instruction-side warming, one probe per fetch line: the first
+		// instruction's, then each line the front end would request.
+		if ffed == 0 || m&ir.MetaNewLine != 0 {
 			c.hier.WarmInst(d.PC)
-			warmLine = line
 		}
 		switch d.Class {
 		case ir.Load:
@@ -219,9 +214,6 @@ func (c *Core) fastForward(gen *ir.Gen, n uint64, sam *SampleStats) (uint64, boo
 		c.s.CommitByCl[d.Class]++
 		c.s.Insts++
 		ffed++
-		if d.Class == ir.Jump || (d.Class == ir.Branch && d.Taken) {
-			warmLine = 0
-		}
 	}
 	sam.FFInsts += ffed
 
@@ -239,7 +231,8 @@ func (c *Core) fastForward(gen *ir.Gen, n uint64, sam *SampleStats) (uint64, boo
 	// skipped span, then unfreeze fetch at the new time.
 	adv := ffed * sam.MeasuredCycles / sam.MeasuredInsts
 	c.now += adv
-	c.curLine = 0
+	c.spanStaged = false
+	c.spanLineDone = false
 	c.blockSeq = 0
 	if c.fetchReadyAt < c.now {
 		c.fetchReadyAt = c.now

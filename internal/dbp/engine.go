@@ -35,18 +35,6 @@ func Defaults() Config {
 	}
 }
 
-// Origin labels why a prefetch request was generated (diagnostics).
-type Origin uint8
-
-// Request origins.
-const (
-	// OChase is a dependence-predictor chase step.
-	OChase Origin = iota
-	// OJump is a jump-pointer target (JPR launch or jump-word arrival).
-	OJump
-	numOrigins
-)
-
 // Stats counts engine activity.
 type Stats struct {
 	Trained        uint64
@@ -57,10 +45,6 @@ type Stats struct {
 	DedupDrops     uint64
 	IssuedPrefetch uint64
 	DroppedPresent uint64
-
-	IssuedByOrigin  [numOrigins]uint64
-	DroppedByOrigin [numOrigins]uint64
-	DedupByOrigin   [numOrigins]uint64
 }
 
 // Engine is the dependence-based prefetch engine.  It also serves as
@@ -104,10 +88,9 @@ type Engine struct {
 }
 
 type prqReq struct {
-	addr   uint32
-	pc     uint32
-	depth  int
-	origin Origin
+	addr  uint32
+	pc    uint32
+	depth int
 	// conts are piggybacked continuations: requests for the same line
 	// whose (addr, pc) differ, so the chase can branch correctly once
 	// the line arrives without issuing duplicate memory requests.  A
@@ -208,7 +191,7 @@ func (e *Engine) ChaseFrom(pc, value uint32, depth int) {
 	// predictor, so the buffer is not live across the recursion.
 	e.depBuf = e.dp.QueryInto(pc, e.depBuf[:0])
 	for _, dep := range e.depBuf {
-		e.EnqueuePrefetch(value+dep.Offset, dep.ConsumerPC, depth+1, OChase)
+		e.EnqueuePrefetch(value+dep.Offset, dep.ConsumerPC, depth+1)
 	}
 }
 
@@ -217,7 +200,7 @@ func (e *Engine) ChaseFrom(pc, value uint32, depth int) {
 // continuation so the chase still branches correctly when the line
 // arrives.  Everything else passes through the PRQ and probes the cache
 // when a port is free.
-func (e *Engine) EnqueuePrefetch(addr, pc uint32, depth int, origin Origin) {
+func (e *Engine) EnqueuePrefetch(addr, pc uint32, depth int) {
 	if depth > e.cfg.MaxChainDepth {
 		return
 	}
@@ -229,7 +212,6 @@ func (e *Engine) EnqueuePrefetch(addr, pc uint32, depth int, origin Origin) {
 			continue
 		}
 		e.s.DedupDrops++
-		e.s.DedupByOrigin[origin]++
 		if (r.pc != pc || r.addr != addr) && int(r.nconts) < len(r.conts) {
 			r.conts[r.nconts] = cont{addr: addr, pc: pc, depth: depth}
 			r.nconts++
@@ -240,7 +222,6 @@ func (e *Engine) EnqueuePrefetch(addr, pc uint32, depth int, origin Origin) {
 	// same Tick (see arrivalQueue's in-Tick dedup rule).
 	if a := e.arrivals.match(line); a != nil {
 		e.s.DedupDrops++
-		e.s.DedupByOrigin[origin]++
 		if a.pc != pc || a.addr != addr {
 			e.arrivals.add(arrival{
 				done: a.done, addr: addr, pc: pc, depth: depth,
@@ -252,7 +233,7 @@ func (e *Engine) EnqueuePrefetch(addr, pc uint32, depth int, origin Origin) {
 		e.s.PRQDrops++
 		return
 	}
-	e.prq[(e.prqHead+e.prqLen)&e.prqMask] = prqReq{addr: addr, pc: pc, depth: depth, origin: origin}
+	e.prq[(e.prqHead+e.prqLen)&e.prqMask] = prqReq{addr: addr, pc: pc, depth: depth}
 	e.prqLen++
 	e.s.Requested++
 }
@@ -341,7 +322,7 @@ func (e *Engine) processArrivals() {
 			// prefetching exists to fetch; request it even before any
 			// edges are learned.
 			if e.heap.Contains(value) {
-				e.EnqueuePrefetch(value, a.pc, a.depth+1, OJump)
+				e.EnqueuePrefetch(value, a.pc, a.depth+1)
 			}
 		}
 		e.ChaseFrom(a.pc, value, a.depth)
@@ -363,11 +344,9 @@ func (e *Engine) issuePRQ(now uint64, freePorts int) int {
 			// with no completion event, so the chain ends here — real
 			// DBP gets no response packet to feed the predictor with.
 			e.s.DroppedPresent++
-			e.s.DroppedByOrigin[r.origin]++
 			continue
 		}
 		e.s.IssuedPrefetch++
-		e.s.IssuedByOrigin[r.origin]++
 		e.arrivals.add(arrival{
 			done: res.Done, addr: r.addr, pc: r.pc, depth: r.depth,
 		})

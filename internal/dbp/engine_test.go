@@ -168,7 +168,7 @@ func TestPRQCapacity(t *testing.T) {
 	// Enqueue more distinct-line requests than the PRQ holds, with no
 	// draining ticks in between.
 	for i := 0; i < 20; i++ {
-		r.eng.EnqueuePrefetch(r.nodes[0]+uint32(i)*4096, pcNext, 0, OChase)
+		r.eng.EnqueuePrefetch(r.nodes[0]+uint32(i)*4096, pcNext, 0)
 	}
 	if s := r.eng.Stats(); s.PRQDrops == 0 {
 		t.Fatal("PRQ accepted more requests than its capacity")
@@ -182,8 +182,8 @@ func TestPiggybackContinuation(t *testing.T) {
 	r := newRig(t, 64)
 	// Two requests for the same line with different PCs: one memory
 	// request, both continuations.
-	r.eng.EnqueuePrefetch(r.nodes[0], pcNext, 0, OChase)
-	r.eng.EnqueuePrefetch(r.nodes[0]+4, pcVal, 0, OChase)
+	r.eng.EnqueuePrefetch(r.nodes[0], pcNext, 0)
+	r.eng.EnqueuePrefetch(r.nodes[0]+4, pcVal, 0)
 	if got := r.eng.prqLen; got != 1 {
 		t.Fatalf("PRQ holds %d entries, want 1 (piggybacked)", got)
 	}

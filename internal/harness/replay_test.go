@@ -11,13 +11,13 @@ import (
 
 // TestBlockReplayEquivalence pins the block-replay contract end to end:
 // for every kernel under every scheme, with cycle skipping both on and
-// off, the full statistics snapshot is byte-identical whether the front
-// end runs the decoded basic-block replay cache (block-granular
-// dispatch in the core, template-verified emission in ir) or the
-// per-instruction classic paths.  Replay is a pure simulator
-// optimisation and must never be observable in results; the replay
-// observability section is the one intentional difference, so it is
-// normalized away before comparing.
+// off, the full statistics snapshot is byte-identical whether the
+// generator runs the decoded basic-block replay cache (template-verified
+// emission and metadata) or per-instruction emission with live
+// metadata; the core's span dispatch is the same in both.  Replay is a
+// pure simulator optimisation and must never be observable in results;
+// the replay observability section is the one intentional difference,
+// so it is normalized away before comparing.
 func TestBlockReplayEquivalence(t *testing.T) {
 	t.Parallel()
 	for _, b := range olden.All() {

@@ -158,10 +158,10 @@ func Run(spec Spec) (Result, error) {
 		cpuC.Sampling = &sc
 	}
 
-	// Block replay is disabled together with the core's block-granular
-	// dispatch: one knob governs both ends of the batch channel, so a
-	// replay-off run exercises the per-instruction emission and fetch
-	// paths end to end.
+	// The core config's replay knob selects the generator's emission
+	// mode only: the core dispatches from the per-instruction metadata
+	// either way, so a replay-off run differs from the default solely
+	// in how that metadata is produced (live decode, no replay cache).
 	gen := ir.NewGenWith(alloc, kernel, ir.GenOptions{
 		DisableReplay: cpuC.DisableBlockReplay,
 	})

@@ -196,10 +196,13 @@ func (a *Allocator) arenaOf(addr mem.Addr) ArenaID {
 }
 
 // SizeClass returns the power-of-two block size used for a payload of n
-// bytes.
+// bytes.  It panics for n above 1<<31, which no 32-bit class holds.
 func SizeClass(n uint32) uint32 {
 	if n < MinClass {
 		return MinClass
+	}
+	if n > 1<<31 {
+		panic(fmt.Sprintf("heap: payload of %d bytes exceeds the largest size class", n))
 	}
 	c := uint32(MinClass)
 	for c < n {

@@ -1,8 +1,11 @@
 package heap
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/mem"
 )
@@ -18,6 +21,45 @@ func TestSizeClass(t *testing.T) {
 		if got := SizeClass(c.n); got != c.want {
 			t.Errorf("SizeClass(%d) = %d, want %d", c.n, got, c.want)
 		}
+	}
+}
+
+// TestSizeClassLargest checks the top of the class range: 1<<31 is the
+// largest class, and a larger payload panics naming its size instead of
+// looping forever on a class that wraps to 0.  Each call runs on its own
+// goroutine under a deadline so a hang fails the test.
+func TestSizeClassLargest(t *testing.T) {
+	type result struct {
+		class uint32
+		panic any
+	}
+	call := func(n uint32) result {
+		ch := make(chan result, 1) // the goroutine never blocks, even after a timeout
+		go func() {
+			var r result
+			defer func() {
+				r.panic = recover()
+				ch <- r
+			}()
+			r.class = SizeClass(n)
+		}()
+		select {
+		case r := <-ch:
+			return r
+		case <-time.After(time.Second):
+			t.Fatalf("SizeClass(%d) did not return within 1s", n)
+			return result{}
+		}
+	}
+	if r := call(1 << 31); r.panic != nil || r.class != 1<<31 {
+		t.Errorf("SizeClass(1<<31) = %d, panic %v; want %d", r.class, r.panic, uint32(1<<31))
+	}
+	r := call(1<<31 + 1)
+	if r.panic == nil {
+		t.Fatalf("SizeClass(1<<31+1) = %d, want a panic", r.class)
+	}
+	if msg := fmt.Sprint(r.panic); !strings.Contains(msg, "2147483649") {
+		t.Errorf("panic %q does not name the payload size", msg)
 	}
 }
 

@@ -62,15 +62,16 @@ type Asm struct {
 	// batch is the in-progress decoded batch (cap BatchSize); send
 	// blocks until the consumer has drained a full batch and handed the
 	// buffer back.  meta carries one pre-decoded dispatch byte per
-	// batch slot when block replay is enabled (nil otherwise) and is
-	// handed over with the batch.
+	// batch slot and is handed over with the batch.
 	batch []DynInst
 	meta  []InstMeta
 	send  func([]DynInst, []InstMeta)
 
 	// rp is the basic-block capture/replay state machine (see
-	// replay.go); active only when meta is non-nil.
-	rp replayState
+	// replay.go); replay is false when the cache is disabled, and rp
+	// then only tracks the fetch-line state for liveMeta.
+	rp     replayState
+	replay bool
 
 	seq      uint64
 	sp       uint32
@@ -84,21 +85,18 @@ type Asm struct {
 }
 
 // newAsm is called by NewGen.  When replay is true the Asm captures and
-// replays decoded basic blocks and emits per-instruction dispatch
-// metadata alongside each batch.
+// replays decoded basic blocks.
 func newAsm(alloc *heap.Allocator, send func([]DynInst, []InstMeta), replay bool) *Asm {
-	a := &Asm{
-		img:   alloc.Image(),
-		heap:  alloc,
-		batch: make([]DynInst, 0, BatchSize),
-		send:  send,
-		sp:    StackBase,
+	return &Asm{
+		img:    alloc.Image(),
+		heap:   alloc,
+		batch:  make([]DynInst, 0, BatchSize),
+		meta:   make([]InstMeta, 0, BatchSize),
+		send:   send,
+		sp:     StackBase,
+		rp:     replayState{atStart: true},
+		replay: replay,
 	}
-	if replay {
-		a.meta = make([]InstMeta, 0, BatchSize)
-		a.rp.atStart = true
-	}
-	return a
 }
 
 // slot extends the batch by one instruction and returns the slot to
@@ -118,14 +116,12 @@ func (a *Asm) flushTail() {
 	}
 }
 
-// sendBatch hands the filled batch (and its metadata, when replay is
-// enabled) to the consumer and resets the buffers.
+// sendBatch hands the filled batch and its metadata to the consumer
+// and resets the buffers.
 func (a *Asm) sendBatch() {
 	a.send(a.batch, a.meta)
 	a.batch = a.batch[:0]
-	if a.meta != nil {
-		a.meta = a.meta[:0]
-	}
+	a.meta = a.meta[:0]
 }
 
 // Heap returns the simulated allocator, for workloads that need direct
@@ -138,15 +134,17 @@ func (a *Asm) next(site int) (uint64, uint32) {
 }
 
 // finish completes the instruction decoded into d (the most recent
-// slot): classification accounting, overhead tagging, and the batch
-// handoff when d was the batch's last slot.  With block replay enabled
-// it routes through the capture/replay state machine instead.
+// slot): classification accounting, overhead tagging, dispatch
+// metadata, and the batch handoff when d was the batch's last slot.
+// With block replay enabled it routes through the capture/replay state
+// machine instead.
 func (a *Asm) finish(d *DynInst) {
-	if a.meta != nil {
+	if a.replay {
 		a.finishTracked(d)
 		return
 	}
 	a.account(d)
+	a.meta = append(a.meta, a.liveMeta(d))
 	if len(a.batch) == BatchSize {
 		a.sendBatch()
 	}

@@ -16,8 +16,7 @@ const BatchSize = 4096
 type stopGen struct{}
 
 // batchMsg is one batch handoff: the decoded instructions plus their
-// per-instruction dispatch metadata (nil when block replay is
-// disabled).
+// per-instruction dispatch metadata.
 type batchMsg struct {
 	ins  []DynInst
 	meta []InstMeta
@@ -38,7 +37,6 @@ type Gen struct {
 	curMeta []InstMeta
 	pos     int
 	done    bool
-	hasMeta bool
 
 	stats   Stats
 	kernErr any
@@ -46,10 +44,12 @@ type Gen struct {
 
 // GenOptions configures a generator.
 type GenOptions struct {
-	// DisableReplay turns off the decoded basic-block replay cache (and
-	// with it the per-instruction dispatch metadata), forcing the
-	// per-instruction emission path.  The emitted stream and accounting
-	// are identical either way.
+	// DisableReplay turns off the decoded basic-block replay cache,
+	// forcing the per-instruction emission path: every instruction's
+	// dispatch metadata is then decoded live.  The emitted stream, its
+	// metadata and the accounting are identical either way; only the
+	// replay counters in Stats stay zero.  cpu.Config.DisableBlockReplay
+	// is the machine-level spelling the harness forwards here.
 	DisableReplay bool
 }
 
@@ -63,10 +63,9 @@ func NewGen(alloc *heap.Allocator, kernel func(*Asm)) *Gen {
 // NewGenWith is NewGen with explicit options.
 func NewGenWith(alloc *heap.Allocator, kernel func(*Asm), opt GenOptions) *Gen {
 	g := &Gen{
-		ch:      make(chan batchMsg),
-		ack:     make(chan struct{}),
-		quit:    make(chan struct{}),
-		hasMeta: !opt.DisableReplay,
+		ch:   make(chan batchMsg),
+		ack:  make(chan struct{}),
+		quit: make(chan struct{}),
 	}
 	// send hands a filled batch to the consumer and blocks until it has
 	// been drained (the ack); the Asm owns the batch buffer and writes
@@ -98,11 +97,6 @@ func NewGenWith(alloc *heap.Allocator, kernel func(*Asm), opt GenOptions) *Gen {
 	}()
 	return g
 }
-
-// HasMeta reports whether the stream carries per-instruction dispatch
-// metadata (block replay enabled), i.e. whether NextBatch returns a
-// metadata slice the core's block-granular front end can consume.
-func (g *Gen) HasMeta() bool { return g.hasMeta }
 
 // Next returns the next dynamic instruction, or nil when the kernel has
 // finished.  The returned pointer is valid only until the following
@@ -140,11 +134,7 @@ func (g *Gen) Next() *DynInst {
 // that crosses a batch boundary.
 func (g *Gen) NextBatch() ([]DynInst, []InstMeta) {
 	if g.pos < len(g.cur) {
-		ins := g.cur[g.pos:]
-		meta := g.curMeta
-		if meta != nil {
-			meta = meta[g.pos:]
-		}
+		ins, meta := g.cur[g.pos:], g.curMeta[g.pos:]
 		g.pos = len(g.cur)
 		return ins, meta
 	}

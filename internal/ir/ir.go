@@ -147,11 +147,6 @@ type DynInst struct {
 	Taken bool
 }
 
-// IsMem reports whether the instruction accesses data memory.
-func (d *DynInst) IsMem() bool {
-	return d.Class == Load || d.Class == Store || d.Class == Prefetch
-}
-
 // IsCtrl reports whether the instruction redirects fetch.
 func (d *DynInst) IsCtrl() bool {
 	return d.Class == Branch || d.Class == Jump

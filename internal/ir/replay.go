@@ -23,14 +23,15 @@ package ir
 // realigns block capture.  The stream, accounting totals, and metadata
 // are therefore bit-identical with replay on or off.
 //
-// Alongside the instruction batch, replay-enabled generators hand the
-// core one InstMeta byte per instruction with the dispatch-relevant
-// decode pre-resolved (memory/store/control classification and the
-// exact fetch-line-crossing bit), which is what lets internal/cpu
-// dispatch whole blocks without per-instruction decode.
+// Alongside the instruction batch, every generator hands the core one
+// InstMeta byte per instruction with the dispatch-relevant decode
+// pre-resolved (memory/store/control classification and the exact
+// fetch-line-crossing bit), which is what lets internal/cpu dispatch
+// whole blocks without per-instruction decode.  Replay reuses each
+// template's bytes; without it, liveMeta decodes every instruction.
 
 // InstMeta is one byte of pre-decoded dispatch metadata accompanying
-// each DynInst when block replay is enabled.
+// each DynInst.
 type InstMeta uint8
 
 const (
@@ -42,10 +43,10 @@ const (
 	MetaCtrl
 	// MetaNewLine marks an instruction whose PC starts a fetch line the
 	// front end has not yet requested.  It is exact, not a hint: the
-	// generator tracks the same fetch-line state the core's classic
-	// front end evolves (reset on taken control flow, else the line of
-	// the previous instruction), so a core consuming metadata needs no
-	// fetch-line bookkeeping of its own.
+	// generator tracks the fetch-line state of a front end with 32-byte
+	// lines (reset on taken control flow, else the line of the previous
+	// instruction), so a core consuming metadata needs no fetch-line
+	// bookkeeping of its own.
 	MetaNewLine
 )
 
@@ -104,9 +105,9 @@ type replayState struct {
 	cap *block
 	// atStart is true when the next emission begins a new block.
 	atStart bool
-	// simLine mirrors the core's fetch-line state over the emitted
-	// stream: 0 after taken control flow, else line(PC)|1 of the
-	// previous instruction.
+	// simLine is the front end's fetch-line state over the emitted
+	// stream (MetaNewLine): 0 after taken control flow, else
+	// line(PC)|1 of the previous instruction.
 	simLine uint32
 
 	blocksCaptured uint64
@@ -144,8 +145,9 @@ func (r *replayState) remove(pc uint32) {
 }
 
 // liveMeta computes the dispatch metadata for d against the current
-// fetch-line state and advances that state.  This is the slow path; the
-// replay fast path reuses the template's byte instead.
+// fetch-line state and advances that state.  It serves every
+// instruction when replay is disabled and the capture/bypass slow path
+// otherwise; the replay fast path reuses the template's byte instead.
 func (a *Asm) liveMeta(d *DynInst) InstMeta {
 	var m InstMeta
 	switch d.Class {

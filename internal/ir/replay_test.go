@@ -27,8 +27,9 @@ func drainWith(t *testing.T, kernel func(*Asm), opt GenOptions) ([]DynInst, []In
 }
 
 // refMeta independently recomputes the dispatch metadata a stream must
-// carry: pure function of the instruction sequence, mirroring the
-// classic front end's fetch-line evolution.
+// carry: a pure function of the instruction sequence, and the reference
+// model of the core's fetch decode (memory/store/control classes and
+// 32-byte fetch-line crossings, reset after taken control flow).
 func refMeta(ins []DynInst) []InstMeta {
 	var line uint32
 	out := make([]InstMeta, len(ins))
@@ -130,22 +131,26 @@ var replayKernels = map[string]func(*Asm){
 }
 
 // TestReplayStreamIdentical locks the core replay invariant: the
-// emitted instruction stream and the accounting totals are bit-identical
-// with replay on and off.
+// emitted instruction stream, its dispatch metadata and the accounting
+// totals are bit-identical with replay on and off.
 func TestReplayStreamIdentical(t *testing.T) {
 	for name, kern := range replayKernels {
 		t.Run(name, func(t *testing.T) {
-			on, _, statsOn := drainWith(t, kern, GenOptions{})
+			on, onMeta, statsOn := drainWith(t, kern, GenOptions{})
 			off, offMeta, statsOff := drainWith(t, kern, GenOptions{DisableReplay: true})
-			if offMeta != nil {
-				t.Fatal("replay-off stream must carry no metadata")
-			}
 			if len(on) != len(off) {
 				t.Fatalf("stream lengths differ: %d vs %d", len(on), len(off))
+			}
+			if len(onMeta) != len(offMeta) {
+				t.Fatalf("metadata lengths differ: %d vs %d", len(onMeta), len(offMeta))
 			}
 			for i := range on {
 				if on[i] != off[i] {
 					t.Fatalf("inst %d differs:\n  on:  %+v\n  off: %+v", i, on[i], off[i])
+				}
+				if onMeta[i] != offMeta[i] {
+					t.Fatalf("inst %d (%s pc=%#x): meta on %#x, off %#x",
+						i, on[i].Class, on[i].PC, onMeta[i], offMeta[i])
 				}
 			}
 			// Accounting identical modulo the replay counters themselves.
@@ -159,20 +164,29 @@ func TestReplayStreamIdentical(t *testing.T) {
 
 // TestReplayMetaExact checks every metadata byte — including across
 // aborts, overhead toggles, block cuts, and batch boundaries — against
-// an independent recomputation from the stream.
+// an independent recomputation from the stream, with replay on (template
+// bytes) and off (live decode).
 func TestReplayMetaExact(t *testing.T) {
+	modes := []struct {
+		name string
+		opt  GenOptions
+	}{{"replay", GenOptions{}}, {"noreplay", GenOptions{DisableReplay: true}}}
 	for name, kern := range replayKernels {
 		t.Run(name, func(t *testing.T) {
-			ins, meta, _ := drainWith(t, kern, GenOptions{})
-			if len(meta) != len(ins) {
-				t.Fatalf("%d meta bytes for %d instructions", len(meta), len(ins))
-			}
-			want := refMeta(ins)
-			for i := range want {
-				if meta[i] != want[i] {
-					t.Fatalf("inst %d (%s pc=%#x): meta %#x, want %#x",
-						i, ins[i].Class, ins[i].PC, meta[i], want[i])
-				}
+			for _, mode := range modes {
+				t.Run(mode.name, func(t *testing.T) {
+					ins, meta, _ := drainWith(t, kern, mode.opt)
+					if len(meta) != len(ins) {
+						t.Fatalf("%d meta bytes for %d instructions", len(meta), len(ins))
+					}
+					want := refMeta(ins)
+					for i := range want {
+						if meta[i] != want[i] {
+							t.Fatalf("inst %d (%s pc=%#x): meta %#x, want %#x",
+								i, ins[i].Class, ins[i].PC, meta[i], want[i])
+						}
+					}
+				})
 			}
 		})
 	}

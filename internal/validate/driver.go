@@ -158,9 +158,11 @@ func timedRun(spec harness.Spec, disableSkip, disableReplay bool, cfg Config) (h
 }
 
 // runVariant is one (cycle-skip, block-replay) mode combination of the
-// differential matrix.  The default mode runs first; the replay-off leg
-// exercises the per-instruction emission and fetch paths so a replay
-// bug cannot hide by breaking both sides identically.
+// differential matrix.  The default mode runs first.  The replay-off
+// leg checks the generator's emission modes against each other: the
+// core's front end is the same in both, but the stream and its dispatch
+// metadata come from live decode instead of the replay cache, so a
+// replay bug shows up as a digest or cycle difference.
 type runVariant struct {
 	name                       string
 	disableSkip, disableReplay bool
