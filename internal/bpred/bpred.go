@@ -5,6 +5,8 @@
 // for a return-address stack, which the paper does not detail).
 package bpred
 
+import "fmt"
+
 // Config sizes the predictor.
 type Config struct {
 	// Entries is the table size of each component (8K in Table 2).
@@ -31,8 +33,11 @@ type Predictor struct {
 	histMsk uint32
 	idxMask uint32
 
-	btb     [][]btbEntry
-	btbTick uint64
+	// btb is the target buffer as one flat array: the ways of set s
+	// occupy btb[s*cfg.BTBAssoc : (s+1)*cfg.BTBAssoc].
+	btb     []btbEntry
+	btbMask uint32 // set count - 1
+	btbTick uint32
 
 	lookups     uint64
 	dirMispred  uint64
@@ -42,15 +47,26 @@ type Predictor struct {
 	jumpLookups uint64
 }
 
+// btbEntry is one BTB way: 16 bytes.  lru is the entry's recency stamp
+// from the predictor's 32-bit BTB clock (see btbAdvance).
 type btbEntry struct {
 	tag    uint32
 	target uint32
-	lru    uint64
+	lru    uint32
 	valid  bool
 }
 
-// New builds a predictor.
+// New builds a predictor.  It panics, naming the field, if a table it
+// indexes by mask — Entries or the BTB set count BTBEntries/BTBAssoc —
+// is not a nonzero power of two.
 func New(cfg Config) *Predictor {
+	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
+	if !pow2(cfg.Entries) {
+		panic(fmt.Sprintf("bpred: Entries = %d, must be a nonzero power of two", cfg.Entries))
+	}
+	if a := cfg.BTBAssoc; a <= 0 || cfg.BTBEntries%a != 0 || !pow2(cfg.BTBEntries/a) {
+		panic(fmt.Sprintf("bpred: BTB set count BTBEntries/BTBAssoc = %d/%d, must be a nonzero power of two", cfg.BTBEntries, a))
+	}
 	p := &Predictor{
 		cfg:     cfg,
 		bimodal: make([]uint8, cfg.Entries),
@@ -64,12 +80,8 @@ func New(cfg Config) *Predictor {
 		p.gshare[i] = 1
 		p.chooser[i] = 1 // weakly bimodal
 	}
-	sets := cfg.BTBEntries / cfg.BTBAssoc
-	p.btb = make([][]btbEntry, sets)
-	backing := make([]btbEntry, cfg.BTBEntries)
-	for i := range p.btb {
-		p.btb[i] = backing[i*cfg.BTBAssoc : (i+1)*cfg.BTBAssoc]
-	}
+	p.btb = make([]btbEntry, cfg.BTBEntries)
+	p.btbMask = uint32(cfg.BTBEntries/cfg.BTBAssoc - 1)
 	return p
 }
 
@@ -151,14 +163,16 @@ func (p *Predictor) PredictJump(pc uint32, target uint32) bool {
 // btbLookup probes and trains the BTB; reports whether pc hit with the
 // right target.
 func (p *Predictor) btbLookup(pc uint32, target uint32) bool {
-	p.btbTick++
-	set := (pc >> 2) & uint32(len(p.btb)-1)
-	tag := (pc >> 2) / uint32(len(p.btb))
-	victim := &p.btb[set][0]
-	for i := range p.btb[set] {
-		e := &p.btb[set][i]
+	now := p.btbAdvance()
+	set := (pc >> 2) & p.btbMask
+	tag := (pc >> 2) / (p.btbMask + 1)
+	assoc := p.cfg.BTBAssoc
+	ways := p.btb[int(set)*assoc : int(set+1)*assoc]
+	victim := &ways[0]
+	for i := range ways {
+		e := &ways[i]
 		if e.valid && e.tag == tag {
-			e.lru = p.btbTick
+			e.lru = now
 			hit := e.target == target
 			if !hit {
 				p.btbMisses++
@@ -173,8 +187,44 @@ func (p *Predictor) btbLookup(pc uint32, target uint32) bool {
 		}
 	}
 	p.btbMisses++
-	*victim = btbEntry{tag: tag, target: target, lru: p.btbTick, valid: true}
+	*victim = btbEntry{tag: tag, target: target, lru: now, valid: true}
 	return false
+}
+
+// btbAdvance steps the BTB clock and returns the stamp for this lookup.
+func (p *Predictor) btbAdvance() uint32 {
+	p.btbTick++
+	if p.btbTick == 0 {
+		p.btbRewind()
+	}
+	return p.btbTick
+}
+
+// btbRewind runs when the BTB clock wraps, with the rule the cache tag
+// arrays use: replacement only compares the stamps of valid ways within
+// one set, so each set's stamps become their ranks in that set (0 for
+// its oldest way) and the clock resumes at BTBAssoc, above every rank.
+// Every later hit and victim is the one an unbounded clock picks.
+//
+//go:noinline
+func (p *Predictor) btbRewind() {
+	assoc := p.cfg.BTBAssoc
+	rank := make([]uint32, assoc)
+	for base := 0; base < len(p.btb); base += assoc {
+		ways := p.btb[base : base+assoc]
+		for i := range ways {
+			rank[i] = 0
+			for j := range ways {
+				if ways[j].valid && ways[j].lru < ways[i].lru {
+					rank[i]++
+				}
+			}
+		}
+		for i := range ways {
+			ways[i].lru = rank[i]
+		}
+	}
+	p.btbTick = uint32(assoc)
 }
 
 // Stats reports predictor activity.

@@ -28,9 +28,11 @@ type Geom struct {
 // Sets returns the number of sets.
 func (g Geom) Sets() int { return g.SizeBytes / (g.LineBytes * g.Assoc) }
 
+// line is one way's tag entry: 12 bytes.  lru is the line's recency
+// stamp from the cache's 32-bit clock (see advance).
 type line struct {
 	tag   uint32
-	lru   uint64
+	lru   uint32
 	valid bool
 	dirty bool
 }
@@ -45,7 +47,7 @@ type cache struct {
 	assoc     int
 	lineShift uint
 	setMask   uint32
-	tick      uint64
+	tick      uint32
 }
 
 func newCache(g Geom) *cache {
@@ -62,6 +64,42 @@ func newCache(g Geom) *cache {
 	}
 }
 
+// advance steps the LRU clock and returns the stamp for this access.
+func (c *cache) advance() uint32 {
+	c.tick++
+	if c.tick == 0 {
+		c.rewind()
+	}
+	return c.tick
+}
+
+// rewind runs when the clock wraps.  LRU only ever compares the stamps
+// of valid ways within one set, so replacing each set's stamps by their
+// ranks in that set (0 for its oldest way) keeps every future hit, fill
+// and victim exactly as an unbounded clock would pick them; the clock
+// then resumes at assoc, above every rank.  It stays out of line so
+// that advance, which runs on every lookup and fill, still inlines.
+//
+//go:noinline
+func (c *cache) rewind() {
+	rank := make([]uint32, c.assoc)
+	for base := 0; base < len(c.lines); base += c.assoc {
+		ways := c.lines[base : base+c.assoc]
+		for i := range ways {
+			rank[i] = 0
+			for j := range ways {
+				if ways[j].valid && ways[j].lru < ways[i].lru {
+					rank[i]++
+				}
+			}
+		}
+		for i := range ways {
+			ways[i].lru = rank[i]
+		}
+	}
+	c.tick = uint32(c.assoc)
+}
+
 func (c *cache) index(addr uint32) (set uint32, tag uint32) {
 	l := addr >> c.lineShift
 	return l & c.setMask, l >> bits.TrailingZeros32(c.setMask+1)
@@ -71,13 +109,13 @@ func (c *cache) index(addr uint32) (set uint32, tag uint32) {
 // accounting is the hierarchy's job (prefetch probes must not pollute
 // demand statistics).
 func (c *cache) lookup(addr uint32) bool {
-	c.tick++
+	now := c.advance()
 	set, tag := c.index(addr)
 	ways := c.ways(set)
 	for i := range ways {
 		ln := &ways[i]
 		if ln.valid && ln.tag == tag {
-			ln.lru = c.tick
+			ln.lru = now
 			return true
 		}
 	}
@@ -119,7 +157,7 @@ func (c *cache) setDirty(addr uint32) {
 // fill installs addr's line, returning the evicted victim line address
 // and whether it was valid+dirty.
 func (c *cache) fill(addr uint32) (victimAddr uint32, victimDirty bool, hadVictim bool) {
-	c.tick++
+	now := c.advance()
 	set, tag := c.index(addr)
 	ways := c.ways(set)
 	victim := &ways[0]
@@ -127,7 +165,7 @@ func (c *cache) fill(addr uint32) (victimAddr uint32, victimDirty bool, hadVicti
 		ln := &ways[i]
 		if ln.valid && ln.tag == tag {
 			// Already present (raced fills merge).
-			ln.lru = c.tick
+			ln.lru = now
 			return 0, false, false
 		}
 		if !ln.valid {
@@ -145,7 +183,7 @@ func (c *cache) fill(addr uint32) (victimAddr uint32, victimDirty bool, hadVicti
 	victim.valid = true
 	victim.dirty = false
 	victim.tag = tag
-	victim.lru = c.tick
+	victim.lru = now
 	return victimAddr, victimDirty, hadVictim
 }
 

@@ -71,7 +71,8 @@ func (q *SWJumpQueue) Interval() int { return q.interval }
 
 // Visit installs cur into the queue and, once the queue is primed,
 // stores a jump-pointer to cur (plus any extra fields) into the node
-// visited `interval` visits ago.
+// visited `interval` visits ago.  It does not retain extras, so a
+// caller may reuse the slice.
 func (q *SWJumpQueue) Visit(cur ir.Val, extras ...FieldStore) {
 	q.a.Overhead(func() {
 		s := q.siteBase

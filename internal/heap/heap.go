@@ -91,8 +91,10 @@ type arena struct {
 	next mem.Addr
 	end  mem.Addr
 	// free holds per-class free lists, indexed by log2(class); classes
-	// are powers of two, so the index is exact.
-	free [32][]mem.Addr
+	// are powers of two, so the index is exact.  It is allocated by the
+	// arena's first Free: most arenas never free, and the 32 list
+	// headers would be 768 of the arena's 776 bytes.
+	free *[32][]mem.Addr
 }
 
 // chunk records that arena claimed the address space from start to the
@@ -225,7 +227,8 @@ func (a *Allocator) AllocIn(id ArenaID, n uint32) mem.Addr {
 	class := SizeClass(n)
 	cidx := bits.Len32(class) - 1
 	var addr mem.Addr
-	if fl := ar.free[cidx]; len(fl) > 0 {
+	if ar.free != nil && len(ar.free[cidx]) > 0 {
+		fl := ar.free[cidx]
 		addr = fl[len(fl)-1]
 		ar.free[cidx] = fl[:len(fl)-1]
 	} else {
@@ -269,6 +272,9 @@ func (a *Allocator) Free(addr mem.Addr) {
 		panic(fmt.Sprintf("heap: free of unallocated address %#x", addr))
 	}
 	ar := a.arenas[a.arenaOf(addr)]
+	if ar.free == nil {
+		ar.free = new([32][]mem.Addr)
+	}
 	cidx := m.classIdx()
 	ar.free[cidx] = append(ar.free[cidx], addr)
 	a.frees++

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"repro/internal/mem"
 )
@@ -222,5 +223,42 @@ func TestFreeUnknownPanics(t *testing.T) {
 func TestPaddingAddrForBlock(t *testing.T) {
 	if got := PaddingAddrForBlock(0x100, 16); got != 0x10C {
 		t.Fatalf("PaddingAddrForBlock = %#x", got)
+	}
+}
+
+func TestArenaSize(t *testing.T) {
+	if got := unsafe.Sizeof(arena{}); got > 16 {
+		t.Errorf("arena is %d bytes, want at most 16", got)
+	}
+}
+
+// TestArenaFreeListsAreLazy checks that an arena allocates its free
+// lists on its first Free and not before, and that reuse after Free is
+// last-in first-out within each arena.
+func TestArenaFreeListsAreLazy(t *testing.T) {
+	a := newAlloc()
+	ids := []ArenaID{0, a.NewArena(), a.NewArena(), a.NewArena()}
+	blocks := map[ArenaID][]mem.Addr{}
+	for round := 0; round < 3; round++ {
+		for _, id := range ids {
+			blocks[id] = append(blocks[id], a.AllocIn(id, 20))
+		}
+	}
+	// Free arenas 1 and 2's blocks, interleaved.
+	for i := 0; i < 3; i++ {
+		a.Free(blocks[ids[1]][i])
+		a.Free(blocks[ids[2]][i])
+	}
+	for _, id := range ids {
+		if freed := id == ids[1] || id == ids[2]; (a.arenas[id].free != nil) != freed {
+			t.Errorf("arena %d: free lists allocated = %v, want %v", id, a.arenas[id].free != nil, freed)
+		}
+	}
+	for _, id := range ids[1:3] {
+		for i := 2; i >= 0; i-- {
+			if got, want := a.AllocIn(id, 17), blocks[id][i]; got != want {
+				t.Fatalf("arena %d reuse: got %#x, want %#x (last freed first)", id, got, want)
+			}
+		}
 	}
 }

@@ -127,6 +127,10 @@ func em3dKernel(p Params) func(*ir.Asm) {
 		}
 
 		// ---- compute_nodes over one side ----
+		// ribs carries one node's rib jump-pointer stores to
+		// queue.Visit, which does not retain it, so every node reuses
+		// the one buffer.
+		ribs := make([]core.FieldStore, 0, emK)
 		computeSide := func(head ir.Val, n int) {
 			node := head
 			for i := 0; i < n; i++ {
@@ -167,7 +171,7 @@ func em3dKernel(p Params) func(*ir.Asm) {
 				}
 				a.Store(esWalk+1, node, emValue, acc)
 
-				var ribs []core.FieldStore
+				ribs = ribs[:0]
 				if queue != nil && idiom == core.IdiomFull {
 					// Install jump-pointers for every from-pointer of
 					// this node alongside the backbone pointer.

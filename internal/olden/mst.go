@@ -164,10 +164,11 @@ func mstKernel(p Params) func(*ir.Asm) {
 		}
 		inTree[0] = true
 		cur := 0
+		remaining := make([]int, 0, cfg.vertices)
 		for added := 1; added < cfg.vertices; added++ {
 			// Relax: one hash lookup per remaining vertex, with the
 			// following lookup's bucket root known in advance.
-			remaining := make([]int, 0, cfg.vertices)
+			remaining = remaining[:0]
 			for u := 0; u < cfg.vertices; u++ {
 				if !inTree[u] {
 					remaining = append(remaining, u)
