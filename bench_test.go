@@ -7,7 +7,6 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dbp"
 	"repro/internal/harness"
@@ -175,36 +174,6 @@ func intervalName(i int) string {
 	return string([]byte{'i', byte('0' + i/10), byte('0' + i%10)})
 }
 
-// BenchmarkAblationPB compares prefetching into the dedicated prefetch
-// buffer against filling the L1 directly.
-func BenchmarkAblationPB(b *testing.B) {
-	run := func(b *testing.B, enable bool) {
-		var cycles uint64
-		for i := 0; i < b.N; i++ {
-			m := cache.Defaults()
-			m.EnablePB = enable
-			spec := harness.Spec{
-				Bench:  "health",
-				Params: olden.Params{Scheme: SchemeCooperative, Size: benchSize},
-				Mem:    &m,
-			}
-			res, err := harness.Run(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cycles = res.CPU.Cycles
-		}
-		b.ReportMetric(float64(cycles), "simcycles")
-	}
-	b.Run("buffer", func(b *testing.B) { run(b, true) })
-	// Note: disabling the PB in the spec is overridden by the scheme
-	// wiring (hardware schemes enable it); the direct-fill path is
-	// exercised by the software scheme instead.
-	b.Run("l1direct", func(b *testing.B) {
-		benchSchemeCycles(b, "health", SchemeSoftware, nil)
-	})
-}
-
 // BenchmarkAblationDP sweeps the dependence predictor capacity.
 func BenchmarkAblationDP(b *testing.B) {
 	for _, entries := range []int{64, 256, 1024} {
@@ -228,32 +197,6 @@ func BenchmarkAblationDP(b *testing.B) {
 			b.ReportMetric(float64(cycles), "simcycles")
 		})
 	}
-}
-
-// BenchmarkAblationJPStorage compares jump-pointer storage in allocator
-// padding against a bounded on-chip table (the section 3.3 discussion).
-func BenchmarkAblationJPStorage(b *testing.B) {
-	run := func(b *testing.B, onChip int) {
-		var cycles uint64
-		for i := 0; i < b.N; i++ {
-			h := core.DefaultHWConfig()
-			h.OnChipTable = onChip
-			spec := harness.Spec{
-				Bench:  "health",
-				Params: olden.Params{Scheme: SchemeHardware, Size: benchSize},
-				HW:     &h,
-			}
-			res, err := harness.Run(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cycles = res.CPU.Cycles
-		}
-		b.ReportMetric(float64(cycles), "simcycles")
-	}
-	b.Run("padding", func(b *testing.B) { run(b, 0) })
-	b.Run("onchip256", func(b *testing.B) { run(b, 256) })
-	b.Run("onchip16k", func(b *testing.B) { run(b, 16384) })
 }
 
 // BenchmarkSimulatorThroughput measures the simulator itself: simulated
@@ -283,37 +226,6 @@ func BenchmarkExtensions(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkAblationAdaptiveInterval compares the fixed Table 2 interval
-// against the section 6 adaptive-interval controller at two memory
-// latencies (the long latency is where adaptation pays).
-func BenchmarkAblationAdaptiveInterval(b *testing.B) {
-	run := func(b *testing.B, adaptive bool, lat int) {
-		var cycles uint64
-		for i := 0; i < b.N; i++ {
-			h := core.DefaultHWConfig()
-			h.AdaptiveInterval = adaptive
-			m := cache.Defaults()
-			m.MemLatency = lat
-			spec := harness.Spec{
-				Bench:  "health",
-				Params: olden.Params{Scheme: SchemeHardware, Size: benchSize},
-				HW:     &h,
-				Mem:    &m,
-			}
-			res, err := harness.Run(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cycles = res.CPU.Cycles
-		}
-		b.ReportMetric(float64(cycles), "simcycles")
-	}
-	b.Run("fixed8/lat70", func(b *testing.B) { run(b, false, 70) })
-	b.Run("adaptive/lat70", func(b *testing.B) { run(b, true, 70) })
-	b.Run("fixed8/lat280", func(b *testing.B) { run(b, false, 280) })
-	b.Run("adaptive/lat280", func(b *testing.B) { run(b, true, 280) })
 }
 
 // update makes TestEmitBenchJSON rewrite BENCH_jpp.json instead of

@@ -14,7 +14,10 @@ type Params struct {
 	L1D Geom
 	L2  Geom
 	// PB is the prefetch buffer geometry (used when EnablePB).
-	PB       Geom
+	PB Geom
+	// EnablePB builds the prefetch buffer.  harness.Run derives it
+	// (on exactly when a prefetch engine attaches) and overwrites any
+	// value passed in.
 	EnablePB bool
 
 	// MemLatency is the main-memory access latency in core cycles.
@@ -110,9 +113,6 @@ type Stats struct {
 
 	PBFills uint64
 	PBHits  uint64
-	// PBHitWaitSum accumulates cycles demand accesses spent waiting for
-	// in-flight prefetched lines (0 for fully timely prefetches).
-	PBHitWaitSum uint64
 
 	DistinctL1Lines int
 }
@@ -466,7 +466,6 @@ func (h *Hierarchy) AccessData(now uint64, addr uint32, kind Kind) Result {
 		}
 		// A used prefetch: install into the L1 and retire the PB copy.
 		h.s.PBHits++
-		h.s.PBHitWaitSum += done - (now + 1)
 		h.tr.Demand(line, now, false)
 		h.pb.invalidate(addr)
 		if victim, dirty, ok := h.l1d.fill(addr); ok {

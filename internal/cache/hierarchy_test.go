@@ -138,8 +138,8 @@ func TestEarlyDemandWaitsOnInflightPrefetch(t *testing.T) {
 	if d.Done != r.Done {
 		t.Fatalf("demand on in-flight prefetched line: done=%d, want fill time %d", d.Done, r.Done)
 	}
-	if h.Stats().PBHitWaitSum == 0 {
-		t.Fatal("late-prefetch wait not recorded")
+	if h.Stats().PBHits != 1 {
+		t.Fatalf("PBHits = %d, want 1", h.Stats().PBHits)
 	}
 }
 

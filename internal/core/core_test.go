@@ -58,10 +58,6 @@ func TestJQTEvictionLRU(t *testing.T) {
 	q.Visit(0x200, 2)
 	q.Visit(0x100, 3) // refresh 0x100
 	q.Visit(0x300, 4) // evicts 0x200
-	_, _, ev := q.Stats()
-	if ev != 1 {
-		t.Fatalf("evictions = %d", ev)
-	}
 	// 0x100 kept its state: its queue is primed, so a visit produces
 	// the home from `interval` visits ago.
 	if home, ok := q.Visit(0x100, 6); !ok || home != 1 {
@@ -399,42 +395,6 @@ func TestHWJPRLimitOncePerCycle(t *testing.T) {
 	}
 }
 
-func TestHWOnChipTableStorage(t *testing.T) {
-	img := mem.NewImage()
-	alloc := heap.New(img)
-	p := cache.Defaults()
-	p.EnablePB = true
-	hier := cache.New(p)
-	cfg := DefaultHWConfig()
-	cfg.OnChipTable = 4 // tiny: thrashes
-	eng := NewHWEngine(dbp.Defaults(), cfg, hier, alloc)
-	nodes := make([]uint32, 32)
-	for i := range nodes {
-		nodes[i] = alloc.Alloc(12)
-	}
-	for i := 0; i+1 < 32; i++ {
-		img.WriteWord(nodes[i]+4, nodes[i+1])
-	}
-	const pc = 0x400100
-	for i := 0; i < 32; i++ {
-		commitNext(eng, uint64(i), pc, nodes[i])
-	}
-	// Padding must be untouched (pointers live on chip).
-	pad, _ := alloc.PaddingAddr(nodes[2])
-	if img.ReadWord(pad) != 0 {
-		t.Fatal("on-chip mode wrote to padding")
-	}
-	// With 4 entries and 24 installs, early entries must be gone.
-	eng.Tick(999, 0)
-	eng.OnLoadIssue(1000, &ir.DynInst{
-		PC: pc, Class: ir.Load, Addr: nodes[2] + 4,
-		BaseValue: nodes[2], Flags: ir.FLDS,
-	})
-	if s := eng.HWStats(); s.JPLaunches != 0 {
-		t.Fatal("evicted on-chip jump pointer still launched")
-	}
-}
-
 func TestSchemeAndIdiomStrings(t *testing.T) {
 	if SchemeCooperative.String() != "coop" || IdiomChain.String() != "chain" {
 		t.Fatal("string forms changed")
@@ -444,75 +404,6 @@ func TestSchemeAndIdiomStrings(t *testing.T) {
 	}
 	if len(Schemes()) != 5 {
 		t.Fatal("scheme list wrong")
-	}
-}
-
-func TestJQTSetIntervalFlushes(t *testing.T) {
-	q := NewJQT(4, 4)
-	for i := 0; i < 4; i++ {
-		q.Visit(0x400100, uint32(0x1000+i*16))
-	}
-	q.SetInterval(2)
-	if q.Interval() != 2 {
-		t.Fatalf("interval = %d", q.Interval())
-	}
-	// Old queue state is gone: two visits prime the new interval, the
-	// third produces the address from two visits ago.
-	if _, ok := q.Visit(0x400100, 0x2000); ok {
-		t.Fatal("flushed queue produced a home")
-	}
-	q.Visit(0x400100, 0x2010)
-	home, ok := q.Visit(0x400100, 0x2020)
-	if !ok || home != 0x2000 {
-		t.Fatalf("home = %#x, %v", home, ok)
-	}
-	// Out-of-range requests are ignored.
-	q.SetInterval(0)
-	q.SetInterval(MaxInterval + 1)
-	if q.Interval() != 2 {
-		t.Fatal("invalid SetInterval applied")
-	}
-}
-
-func TestAdaptiveIntervalWidensUnderLateness(t *testing.T) {
-	img := mem.NewImage()
-	alloc := heap.New(img)
-	p := cache.Defaults()
-	p.EnablePB = true
-	hier := cache.New(p)
-	cfg := DefaultHWConfig()
-	cfg.AdaptiveInterval = true
-	cfg.Interval = 2
-	eng := NewHWEngine(dbp.Defaults(), cfg, hier, alloc)
-
-	// Manufacture lateness: prefetch lines, then demand them while the
-	// fills are still in flight, so PBHitWaitSum grows.
-	base := alloc.Alloc(1 << 16)
-	for i := 0; i < 100; i++ {
-		addr := base + uint32(i*4096)
-		hier.AccessData(uint64(i), addr, cache.KPref)
-		hier.AccessData(uint64(i)+1, addr, cache.KLoad) // waits on the fill
-	}
-	// Feed enough committed loads to cross the adaptation period.
-	nodes := make([]uint32, 64)
-	for i := range nodes {
-		nodes[i] = alloc.Alloc(12)
-	}
-	for i := 0; i+1 < len(nodes); i++ {
-		img.WriteWord(nodes[i]+4, nodes[i+1])
-	}
-	for c := uint64(0); c < adaptPeriod+1; c++ {
-		n := nodes[int(c)%63]
-		eng.OnCommit(c, &ir.DynInst{
-			PC: 0x400100, Class: ir.Load, Addr: n + 4,
-			BaseValue: n, Value: img.ReadWord(n + 4), Flags: ir.FLDS,
-		})
-	}
-	if eng.CurrentInterval() <= 2 {
-		t.Fatalf("interval did not widen under late prefetches: %d", eng.CurrentInterval())
-	}
-	if eng.IntervalMoves() == 0 {
-		t.Fatal("no adaptation steps recorded")
 	}
 }
 

@@ -14,10 +14,6 @@ type JQT struct {
 	entries  []jqtEntry
 	interval int
 	tick     uint64
-
-	visits    uint64
-	installed uint64
-	evictions uint64
 }
 
 type jqtEntry struct {
@@ -37,27 +33,11 @@ func NewJQT(n, interval int) *JQT {
 	return &JQT{entries: make([]jqtEntry, n), interval: interval}
 }
 
-// Interval returns the configured jump-pointer distance.
-func (t *JQT) Interval() int { return t.interval }
-
-// SetInterval changes the jump-pointer distance, flushing all queues
-// (their contents encode the old distance).
-func (t *JQT) SetInterval(interval int) {
-	if interval <= 0 || interval > MaxInterval || interval == t.interval {
-		return
-	}
-	t.interval = interval
-	for i := range t.entries {
-		t.entries[i].valid = false
-	}
-}
-
 // Visit records that the recurrent load at pc consumed input address
 // addr.  Once the queue holds `interval` addresses, it returns the home
 // node (the address queued `interval` visits ago) for jump-pointer
 // installation.
 func (t *JQT) Visit(pc, addr uint32) (home uint32, ok bool) {
-	t.visits++
 	t.tick++
 	var e *jqtEntry
 	victim := &t.entries[0]
@@ -74,9 +54,6 @@ func (t *JQT) Visit(pc, addr uint32) (home uint32, ok bool) {
 		}
 	}
 	if e == nil {
-		if victim.valid {
-			t.evictions++
-		}
 		*victim = jqtEntry{pc: pc, valid: true}
 		e = victim
 	}
@@ -89,11 +66,5 @@ func (t *JQT) Visit(pc, addr uint32) (home uint32, ok bool) {
 	home = e.ring[e.pos]
 	e.ring[e.pos] = addr
 	e.pos = (e.pos + 1) % t.interval
-	t.installed++
 	return home, true
-}
-
-// Stats reports table activity.
-func (t *JQT) Stats() (visits, installed, evictions uint64) {
-	return t.visits, t.installed, t.evictions
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/olden"
@@ -106,6 +107,42 @@ func TestEngineIssuedMatchesCacheRequests(t *testing.T) {
 		}
 		if err := res.Stats.Validate(); err != nil {
 			t.Errorf("%s: snapshot invalid: %v", name, err)
+		}
+	}
+}
+
+// TestRunDerivesPrefetchBuffer pins Run's prefetch-buffer rule: the
+// buffer exists exactly when a prefetch engine attaches, whatever
+// Spec.Mem.EnablePB says.  Inverting the field must leave the snapshot
+// byte-identical for a scheme without an engine and for one with.  It
+// runs health at the small size: at the test size cooperative JPP
+// fills no buffer line, so the check could not fail.
+func TestRunDerivesPrefetchBuffer(t *testing.T) {
+	for _, scheme := range []core.Scheme{core.SchemeNone, core.SchemeCooperative} {
+		snap := func(m *cache.Params) ([]byte, uint64) {
+			res, err := Run(Spec{
+				Bench:  "health",
+				Params: olden.Params{Scheme: scheme, Size: olden.SizeSmall},
+				Mem:    m,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(res.Stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b, res.Cache.PBFills
+		}
+		// Run derives the buffer for coop only, so this inverts it.
+		inverted := cache.Defaults()
+		inverted.EnablePB = scheme == core.SchemeNone
+		want, fills := snap(nil)
+		if scheme == core.SchemeCooperative && fills == 0 {
+			t.Fatal("coop: no prefetch-buffer fill, so the buffer's absence would not show")
+		}
+		if got, _ := snap(&inverted); string(got) != string(want) {
+			t.Errorf("%s: Spec.Mem.EnablePB = %v changed the snapshot", scheme, inverted.EnablePB)
 		}
 	}
 }

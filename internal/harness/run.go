@@ -48,6 +48,8 @@ type Spec struct {
 	Timeout time.Duration
 
 	// Mem, CPU, DBP, HW override the Table 2 defaults when non-nil.
+	// Mem.EnablePB is ignored: Run enables the prefetch buffer exactly
+	// when a prefetch engine attaches.
 	Mem *cache.Params
 	CPU *cpu.Config
 	DBP *dbp.Config

@@ -90,11 +90,29 @@ type metaPage [metaPageSlots]blockMeta
 type arena struct {
 	next mem.Addr
 	end  mem.Addr
-	// free holds per-class free lists, indexed by log2(class); classes
-	// are powers of two, so the index is exact.  It is allocated by the
-	// arena's first Free: most arenas never free, and the 32 list
-	// headers would be 768 of the arena's 776 bytes.
-	free *[32][]mem.Addr
+	// free chains one LIFO free list per size class this arena has
+	// freed into, newest class first.  A list is added by its class's
+	// first Free: most arenas never free, and those that do free only
+	// a class or two, so a short walk beats 32 headers per arena.
+	free *classList
+}
+
+// classList is an arena's free list for one size class.
+type classList struct {
+	cidx  uint32
+	addrs []mem.Addr
+	next  *classList
+}
+
+// list returns the arena's free list for class index cidx, or nil if
+// the arena has never freed a block of that class.
+func (ar *arena) list(cidx uint32) *classList {
+	for fl := ar.free; fl != nil; fl = fl.next {
+		if fl.cidx == cidx {
+			return fl
+		}
+	}
+	return nil
 }
 
 // chunk records that arena claimed the address space from start to the
@@ -225,12 +243,10 @@ func (a *Allocator) AllocIn(id ArenaID, n uint32) mem.Addr {
 	}
 	ar := a.arenas[id]
 	class := SizeClass(n)
-	cidx := bits.Len32(class) - 1
 	var addr mem.Addr
-	if ar.free != nil && len(ar.free[cidx]) > 0 {
-		fl := ar.free[cidx]
-		addr = fl[len(fl)-1]
-		ar.free[cidx] = fl[:len(fl)-1]
+	if fl := ar.list(uint32(bits.Len32(class) - 1)); fl != nil && len(fl.addrs) > 0 {
+		addr = fl.addrs[len(fl.addrs)-1]
+		fl.addrs = fl.addrs[:len(fl.addrs)-1]
 	} else {
 		// Align the bump pointer to the class size so blocks never
 		// straddle larger power-of-two boundaries gratuitously.
@@ -272,11 +288,13 @@ func (a *Allocator) Free(addr mem.Addr) {
 		panic(fmt.Sprintf("heap: free of unallocated address %#x", addr))
 	}
 	ar := a.arenas[a.arenaOf(addr)]
-	if ar.free == nil {
-		ar.free = new([32][]mem.Addr)
-	}
 	cidx := m.classIdx()
-	ar.free[cidx] = append(ar.free[cidx], addr)
+	fl := ar.list(cidx)
+	if fl == nil {
+		fl = &classList{cidx: cidx, next: ar.free}
+		ar.free = fl
+	}
+	fl.addrs = append(fl.addrs, addr)
 	a.frees++
 	a.liveBytes -= int(m.class())
 	if m.slackField() == slackBig {

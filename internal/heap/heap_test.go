@@ -2,6 +2,7 @@ package heap
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -232,9 +233,10 @@ func TestArenaSize(t *testing.T) {
 	}
 }
 
-// TestArenaFreeListsAreLazy checks that an arena allocates its free
-// lists on its first Free and not before, and that reuse after Free is
-// last-in first-out within each arena.
+// TestArenaFreeListsAreLazy checks that an arena holds a free list only
+// for each size class it has freed into, added by that class's first
+// Free, and that reuse after Free is last-in first-out within each
+// arena and class.
 func TestArenaFreeListsAreLazy(t *testing.T) {
 	a := newAlloc()
 	ids := []ArenaID{0, a.NewArena(), a.NewArena(), a.NewArena()}
@@ -249,10 +251,27 @@ func TestArenaFreeListsAreLazy(t *testing.T) {
 		a.Free(blocks[ids[1]][i])
 		a.Free(blocks[ids[2]][i])
 	}
-	for _, id := range ids {
-		if freed := id == ids[1] || id == ids[2]; (a.arenas[id].free != nil) != freed {
-			t.Errorf("arena %d: free lists allocated = %v, want %v", id, a.arenas[id].free != nil, freed)
+	// A block of a second class, freed in arena 1 only.
+	big := a.AllocIn(ids[1], 100)
+	a.Free(big)
+	classes := func(id ArenaID) []uint32 {
+		var cs []uint32
+		for fl := a.arenas[id].free; fl != nil; fl = fl.next {
+			cs = append(cs, 1<<fl.cidx)
 		}
+		return cs
+	}
+	want := map[ArenaID][]uint32{
+		ids[1]: {SizeClass(100), SizeClass(20)}, // newest class first
+		ids[2]: {SizeClass(20)},
+	}
+	for _, id := range ids {
+		if got := classes(id); !reflect.DeepEqual(got, want[id]) {
+			t.Errorf("arena %d: free-list classes = %v, want %v", id, got, want[id])
+		}
+	}
+	if got := a.AllocIn(ids[1], 65); got != big {
+		t.Fatalf("arena %d reuse of class %d: got %#x, want %#x", ids[1], SizeClass(100), got, big)
 	}
 	for _, id := range ids[1:3] {
 		for i := 2; i >= 0; i-- {

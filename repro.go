@@ -124,7 +124,9 @@ type Config struct {
 	// (cpu.DefaultSampling).
 	Sampling *cpu.SamplingConfig
 
-	// Machine, when non-nil, replaces the whole Table 2 memory system.
+	// Machine, when non-nil, replaces the whole Table 2 memory system,
+	// except its EnablePB: the prefetch buffer is present exactly when
+	// the scheme (or Engine) attaches a prefetch engine.
 	Machine *cache.Params
 	// Core, when non-nil, replaces the Table 2 out-of-order core.
 	Core *cpu.Config
