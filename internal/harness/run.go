@@ -37,14 +37,17 @@ type Spec struct {
 	// run.  The validate subsystem runs generated micro-IR programs
 	// through the full pipeline this way, and tests use it to inject
 	// failing workloads into batches.  The function is invoked once per
-	// run and must not build state shared between concurrent runs.
+	// kernel execution and must not build state shared between
+	// concurrent runs.  A decomposition's realistic pass and the perfect
+	// pass paired with it share one execution (see DecomposeBatch).
 	Kernel func(*ir.Asm)
 
 	// Timeout bounds the run's wall-clock time under RunGuarded and
-	// RunBatch; zero means no deadline.  A run that exceeds it is
+	// RunBatch, and a decomposition job's (both passes together) under
+	// DecomposeBatch; zero means no deadline.  A run that exceeds it is
 	// abandoned (its goroutine drains in the background — set
-	// CPU.MaxCycles as a hard backstop) and its slot reports a
-	// DeadlineError.
+	// CPU.MaxCycles as a hard backstop) and its slot reports
+	// ErrDeadline.
 	Timeout time.Duration
 
 	// Mem, CPU, DBP, HW override the Table 2 defaults when non-nil.
@@ -100,15 +103,52 @@ func (r Result) Cycles() uint64 { return r.CPU.Cycles }
 
 // Run executes one simulation to completion.
 func Run(spec Spec) (Result, error) {
-	kernel := spec.Kernel
-	if kernel == nil {
-		bench, ok := olden.ByName(spec.Bench)
-		if !ok {
-			return Result{}, fmt.Errorf("harness: unknown benchmark %q", spec.Bench)
-		}
-		kernel = bench.Kernel(spec.Params)
+	kernel, err := spec.kernel()
+	if err != nil {
+		return Result{}, err
 	}
+	alloc := heap.New(mem.NewImage())
+	m, err := newMachine(spec, alloc)
+	if err != nil {
+		return Result{}, err
+	}
+	return m.run(ir.NewGenWith(alloc, kernel, m.gen)), nil
+}
 
+// kernel checks the parameters every workload shares and resolves the
+// spec's workload: Spec.Kernel, or the registry benchmark named Bench.
+func (spec Spec) kernel() (func(*ir.Asm), error) {
+	if iv := spec.Params.Interval; iv < 0 || iv > core.MaxInterval {
+		return nil, fmt.Errorf("harness: interval %d outside [0, %d]", iv, core.MaxInterval)
+	}
+	if spec.Kernel != nil {
+		return spec.Kernel, nil
+	}
+	bench, ok := olden.ByName(spec.Bench)
+	if !ok {
+		return nil, fmt.Errorf("harness: unknown benchmark %q", spec.Bench)
+	}
+	return bench.Kernel(spec.Params), nil
+}
+
+// machine is the timing side of one run: the core, the hierarchy, the
+// predictor and the attached engine, built from a spec over the
+// allocator whose image the run's kernel executes in.  It is everything
+// a run needs except its instruction stream, so one kernel execution can
+// drive several machines (see runPair).
+type machine struct {
+	spec       Spec
+	engineName string // the attached engine; "" when none attaches
+	core       *cpu.Core
+	hier       *cache.Hierarchy
+	pred       *bpred.Predictor
+	eng        cpu.PrefetchEngine
+	alloc      *heap.Allocator
+	gen        ir.GenOptions // the emission mode the stream must use
+}
+
+// newMachine builds spec's machine over alloc.
+func newMachine(spec Spec, alloc *heap.Allocator) (*machine, error) {
 	memP := cache.Defaults()
 	if spec.Mem != nil {
 		memP = *spec.Mem
@@ -126,6 +166,16 @@ func Run(spec Spec) (Result, error) {
 		hwC = *spec.HW
 	}
 
+	// The core config's replay knob selects the generator's emission
+	// mode only: the core dispatches from the per-instruction metadata
+	// either way, so a replay-off run differs from the default solely
+	// in how that metadata is produced (live decode, no replay cache).
+	m := &machine{
+		spec:  spec,
+		alloc: alloc,
+		gen:   ir.GenOptions{DisableReplay: cpuC.DisableBlockReplay},
+	}
+
 	// Resolve the prefetch engine through the registry: an explicit
 	// Spec.Engine wins, otherwise the scheme's historical default.
 	// Spec.Params.Interval is routed uniformly through the factory
@@ -137,62 +187,53 @@ func Run(spec Spec) (Result, error) {
 	attach := engineName != "" && !memP.PerfectData
 	memP.EnablePB = attach
 
-	img := mem.NewImage()
-	alloc := heap.New(img)
-	hier := cache.New(memP)
-	pred := bpred.New(bpred.Defaults())
-
-	var eng cpu.PrefetchEngine
+	m.hier = cache.New(memP)
+	m.pred = bpred.New(bpred.Defaults())
 	if attach {
 		var err error
-		eng, err = prefetch.New(engineName, prefetch.Config{
+		m.eng, err = prefetch.New(engineName, prefetch.Config{
 			DBP:      dbpC,
 			HW:       hwC,
 			Interval: spec.Params.Interval,
-		}, hier, alloc)
+		}, m.hier, alloc)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
+		m.engineName = engineName
 	}
 
 	if spec.Sampling != nil {
 		sc := *spec.Sampling
 		cpuC.Sampling = &sc
 	}
+	m.core = cpu.New(cpuC, m.hier, m.pred, m.eng)
+	return m, nil
+}
 
-	// The core config's replay knob selects the generator's emission
-	// mode only: the core dispatches from the per-instruction metadata
-	// either way, so a replay-off run differs from the default solely
-	// in how that metadata is produced (live decode, no replay cache).
-	gen := ir.NewGenWith(alloc, kernel, ir.GenOptions{
-		DisableReplay: cpuC.DisableBlockReplay,
-	})
-	c := cpu.New(cpuC, hier, pred, eng)
-	cpuStats := c.Run(gen)
-
+// run simulates gen on the machine and collects the result.
+func (m *machine) run(gen *ir.Gen) Result {
+	cpuStats := m.core.Run(gen)
 	res := Result{
-		Spec:       spec,
+		Spec:       m.spec,
 		CPU:        cpuStats,
-		Cache:      hier.Stats(),
+		Cache:      m.hier.Stats(),
 		Insts:      gen.Stats(),
-		Bpred:      pred.Stats(),
-		PrefEngine: eng,
-		Hier:       hier,
-		Heap:       alloc,
+		Bpred:      m.pred.Stats(),
+		EngineName: m.engineName,
+		PrefEngine: m.eng,
+		Hier:       m.hier,
+		Heap:       m.alloc,
 	}
-	if attach {
-		res.EngineName = engineName
-	}
-	if ds, ok := eng.(interface{ Stats() dbp.Stats }); ok {
+	if ds, ok := m.eng.(interface{ Stats() dbp.Stats }); ok {
 		s := ds.Stats()
 		res.Engine = &s
 	}
-	if hs, ok := eng.(interface{ HWStats() core.HWStats }); ok {
+	if hs, ok := m.eng.(interface{ HWStats() core.HWStats }); ok {
 		h := hs.HWStats()
 		res.HW = &h
 	}
 	res.Stats = buildSnapshot(&res)
-	return res, nil
+	return res
 }
 
 // buildSnapshot assembles the versioned stats record from a finished
@@ -306,11 +347,11 @@ func perfectSpec(spec Spec) Spec {
 	return spec
 }
 
-// Decompose runs spec twice (realistic + perfect data memory): the
-// one-spec case of DecomposeBatch, so the two passes run concurrently,
-// fault-isolated, and Full holds statistics only.  A spec that already
-// requests perfect data memory has no memory stall to measure: it runs
-// once and reports Total == Compute.
+// Decompose simulates spec twice (realistic + perfect data memory): the
+// one-spec case of DecomposeBatch, so the two passes share one kernel
+// execution, each is fault-isolated, and Full holds statistics only.  A
+// spec that already requests perfect data memory has no memory stall to
+// measure: it runs once and reports Total == Compute.
 func Decompose(spec Spec) (Decomposition, error) {
 	it := DecomposeBatch([]Spec{spec}, 2)[0]
 	return it.Decomp, it.Err

@@ -230,25 +230,42 @@ func TestPerfectPassIgnoresHardwareScheme(t *testing.T) {
 
 // TestDecompPlanSharesFig5PerfectPasses: Figure 5's spec set for one
 // benchmark flattens to its 5 realistic runs and 3 perfect passes —
-// none, dbp and hw share one, sw and coop each need their own.
+// none, dbp and hw share one, sw and coop each need their own — and
+// those 8 timing runs come from 5 kernel executions: each perfect pass
+// rides the stream of the first realistic run that needs it.
 func TestDecompPlanSharesFig5PerfectPasses(t *testing.T) {
-	b, _ := olden.ByName("health")
-	specs := schemeSweep([]*olden.Benchmark{b}, olden.SizeFull)
-	flat, fullAt, perfectAt := decompPlan(specs)
-	var realistic, perfect int
-	for _, s := range flat {
-		if s.Mem != nil && s.Mem.PerfectData {
-			perfect++
-		} else {
-			realistic++
+	for _, b := range olden.Suite() {
+		specs := schemeSweep([]*olden.Benchmark{b}, olden.SizeFull)
+		passes, jobs, fullAt, perfectAt := decompPlan(specs)
+		var realistic, perfect int
+		for _, s := range passes {
+			if s.Mem != nil && s.Mem.PerfectData {
+				perfect++
+			} else {
+				realistic++
+			}
 		}
-	}
-	if realistic != 5 || perfect != 3 {
-		t.Fatalf("flattened to %d realistic and %d perfect runs, want 5 and 3", realistic, perfect)
-	}
-	for i, s := range specs {
-		if flat[fullAt[i]].Params.Scheme != s.Params.Scheme || !flat[perfectAt[i]].Mem.PerfectData {
-			t.Errorf("slot %d (%v): pool indices %d/%d misaligned", i, s.Params.Scheme, fullAt[i], perfectAt[i])
+		if realistic != 5 || perfect != 3 || len(jobs) != 5 {
+			t.Fatalf("%s: %d realistic and %d perfect runs in %d jobs, want 5 and 3 in 5",
+				b.Name, realistic, perfect, len(jobs))
+		}
+		for i, s := range specs {
+			if passes[fullAt[i]].Params.Scheme != s.Params.Scheme || !passes[perfectAt[i]].Mem.PerfectData {
+				t.Errorf("%s slot %d (%v): pass indices %d/%d misaligned", b.Name, i, s.Params.Scheme, fullAt[i], perfectAt[i])
+			}
+		}
+		paired := 0
+		for _, j := range jobs {
+			if j.perfect < 0 {
+				continue
+			}
+			paired++
+			if !reflect.DeepEqual(passes[j.perfect], perfectSpec(passes[j.full])) {
+				t.Errorf("%s: job %+v pairs a perfect pass that is not its realistic pass's", b.Name, j)
+			}
+		}
+		if paired != 3 {
+			t.Errorf("%s: %d jobs carry a perfect pass, want 3", b.Name, paired)
 		}
 	}
 }
@@ -431,31 +448,33 @@ func TestRunCustomKernel(t *testing.T) {
 
 // TestParallelSerialIdenticalReports is the determinism contract of the
 // batch runner: every experiment driver must produce byte-identical
-// report text whether its simulations run serially or on every host
-// core.  Each Run builds a fresh mem.Image and cache.Hierarchy, so any
-// divergence here is a shared-state bug.
+// report text whether its simulations run serially, on two workers or
+// on every host core.  Each Run builds a fresh mem.Image and
+// cache.Hierarchy, and a paired decomposition job shares its image only
+// between its own two passes, so any divergence here is a shared-state
+// bug.
 func TestParallelSerialIdenticalReports(t *testing.T) {
-	parallel := runtime.GOMAXPROCS(0)
-	if parallel < 2 {
-		parallel = 4
+	workerCounts := []int{2}
+	if p := runtime.GOMAXPROCS(0); p > 2 {
+		workerCounts = append(workerCounts, p)
 	}
 	for _, e := range Experiments() {
-		serialCfg := ExpConfig{Size: olden.SizeTest, Workers: 1}
-		parallelCfg := ExpConfig{Size: olden.SizeTest, Workers: parallel}
-		serial, err := e.Fn(serialCfg)
+		serial, err := e.Fn(ExpConfig{Size: olden.SizeTest, Workers: 1})
 		if err != nil {
 			t.Fatalf("%s serial: %v", e.ID, err)
-		}
-		par, err := e.Fn(parallelCfg)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", e.ID, err)
 		}
 		if serial.Text == "" {
 			t.Errorf("%s: empty report", e.ID)
 		}
-		if serial.Text != par.Text {
-			t.Errorf("%s: parallel (j=%d) report differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-				e.ID, parallel, serial.Text, par.Text)
+		for _, workers := range workerCounts {
+			par, err := e.Fn(ExpConfig{Size: olden.SizeTest, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s j=%d: %v", e.ID, workers, err)
+			}
+			if serial.Text != par.Text {
+				t.Errorf("%s: parallel (j=%d) report differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
+					e.ID, workers, serial.Text, par.Text)
+			}
 		}
 	}
 }

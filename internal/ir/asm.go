@@ -395,17 +395,21 @@ type Stats struct {
 // Total returns the total dynamic instruction count.
 func (s Stats) Total() uint64 { return s.OrigInsts + s.OvhdInsts }
 
+// stats reports the counts of the stream emitted so far.  It leaves
+// the Asm untouched (the in-flight replay block is settled on a copy),
+// so the readers of a shared stream may call it side by side.
 func (a *Asm) stats() Stats {
-	a.finishReplayTail()
+	c := *a
+	c.finishReplayTail()
 	return Stats{
-		Counts:         a.counts,
-		OrigInsts:      a.origInsts,
-		OvhdInsts:      a.ovhdInsts,
-		LDSLoads:       a.ldsLoads,
-		OtherLoads:     a.otherLoads,
-		BlocksCaptured: a.rp.blocksCaptured,
-		ReplayedInsts:  a.rp.replayedInsts,
-		ReplayAborts:   a.rp.replayAborts,
+		Counts:         c.counts,
+		OrigInsts:      c.origInsts,
+		OvhdInsts:      c.ovhdInsts,
+		LDSLoads:       c.ldsLoads,
+		OtherLoads:     c.otherLoads,
+		BlocksCaptured: c.rp.blocksCaptured,
+		ReplayedInsts:  c.rp.replayedInsts,
+		ReplayAborts:   c.rp.replayAborts,
 	}
 }
 

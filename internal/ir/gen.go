@@ -26,12 +26,22 @@ type batchMsg struct {
 // function runs on its own goroutine, but execution is strictly
 // ping-pong: while the consumer drains a batch the kernel is blocked, so
 // the memory image is never accessed concurrently.
+//
+// NewGenShared hands one kernel execution to several readers, each a
+// Gen of its own.  The handoff stays strict: the kernel gives each batch
+// to the readers in turn, waits until each has drained it, and only then
+// emits the next batch.  So every reader sees the memory image at the
+// same batch boundary as a generator of its own would show it, and at
+// most one of the goroutines runs at a time.
 type Gen struct {
 	ch   chan batchMsg
 	ack  chan struct{}
 	quit chan struct{}
 
 	asm *Asm
+	// shared marks a reader of NewGenShared: Stop detaches it and leaves
+	// the kernel to the other readers.
+	shared bool
 
 	cur     []DynInst
 	curMeta []InstMeta
@@ -62,40 +72,92 @@ func NewGen(alloc *heap.Allocator, kernel func(*Asm)) *Gen {
 
 // NewGenWith is NewGen with explicit options.
 func NewGenWith(alloc *heap.Allocator, kernel func(*Asm), opt GenOptions) *Gen {
-	g := &Gen{
-		ch:   make(chan batchMsg),
-		ack:  make(chan struct{}),
-		quit: make(chan struct{}),
+	return startGen(alloc, kernel, opt, 1, false)[0]
+}
+
+// NewGenShared starts one kernel execution and returns its instruction
+// stream once per reader (readers >= 1).  Each returned Gen is consumed
+// like NewGenWith's, on a goroutine of its own; all of them see the
+// same instructions and metadata, and each batch's handoff happens at
+// the same stream position as in a generator of its own.  A reader that
+// stops early detaches, and the kernel carries on for the others; it
+// unwinds once every reader has stopped.  A kernel panic reaches every
+// reader still attached.  All readers report the same Stats, except
+// that a detached one counts only the instructions it was handed.
+func NewGenShared(alloc *heap.Allocator, kernel func(*Asm), opt GenOptions, readers int) []*Gen {
+	return startGen(alloc, kernel, opt, readers, true)
+}
+
+// startGen starts the kernel goroutine and returns its readers.
+func startGen(alloc *heap.Allocator, kernel func(*Asm), opt GenOptions, readers int, shared bool) []*Gen {
+	gs := make([]*Gen, readers)
+	for i := range gs {
+		gs[i] = &Gen{
+			ch:     make(chan batchMsg),
+			ack:    make(chan struct{}),
+			quit:   make(chan struct{}),
+			shared: shared,
+		}
 	}
-	// send hands a filled batch to the consumer and blocks until it has
-	// been drained (the ack); the Asm owns the batch buffer and writes
-	// decoded instructions straight into it (see Asm.slot).
+	// send hands a filled batch to each attached reader in turn and
+	// blocks until that reader has drained it (the ack); the Asm owns
+	// the batch buffer and writes decoded instructions straight into it
+	// (see Asm.slot).  live is the kernel goroutine's own list of the
+	// readers that have not stopped.
+	live := append([]*Gen(nil), gs...)
 	send := func(batch []DynInst, meta []InstMeta) {
-		select {
-		case g.ch <- batchMsg{ins: batch, meta: meta}:
-		case <-g.quit:
-			panic(stopGen{})
+		msg := batchMsg{ins: batch, meta: meta}
+		n := 0
+		for _, g := range live {
+			if g.deliver(msg) {
+				live[n] = g
+				n++
+			}
 		}
-		select {
-		case <-g.ack:
-		case <-g.quit:
+		live = live[:n]
+		if n == 0 {
 			panic(stopGen{})
 		}
 	}
-	g.asm = newAsm(alloc, send, !opt.DisableReplay)
+	asm := newAsm(alloc, send, !opt.DisableReplay)
+	for _, g := range gs {
+		g.asm = asm
+	}
 	go func() {
-		defer close(g.ch)
+		defer func() {
+			for _, g := range gs {
+				close(g.ch)
+			}
+		}()
 		defer func() {
 			if r := recover(); r != nil {
 				if _, stopped := r.(stopGen); !stopped {
-					g.kernErr = r
+					for _, g := range gs {
+						g.kernErr = r
+					}
 				}
 			}
 		}()
-		kernel(g.asm)
-		g.asm.flushTail()
+		kernel(asm)
+		asm.flushTail()
 	}()
-	return g
+	return gs
+}
+
+// deliver hands one batch to the reader g and blocks until g has
+// drained it.  It reports false when g stopped instead.
+func (g *Gen) deliver(msg batchMsg) bool {
+	select {
+	case g.ch <- msg:
+	case <-g.quit:
+		return false
+	}
+	select {
+	case <-g.ack:
+		return true
+	case <-g.quit:
+		return false
+	}
 }
 
 // Next returns the next dynamic instruction, or nil when the kernel has
@@ -163,9 +225,23 @@ func (g *Gen) finish() {
 }
 
 // Stop abandons the stream, unwinding the kernel goroutine.  Safe to
-// call at any point, including after exhaustion.
+// call at any point, including after exhaustion.  A reader of
+// NewGenShared detaches instead, and the kernel runs on for the other
+// readers.
 func (g *Gen) Stop() {
 	if g.done {
+		return
+	}
+	g.done = true
+	if g.shared {
+		// A reader that holds a batch has not acked it, so the kernel
+		// is parked on this reader and the counts are those of the
+		// stream delivered so far.  A reader that never got a batch
+		// (its core failed to start) reports none.
+		if g.cur != nil {
+			g.stats = g.asm.stats()
+		}
+		close(g.quit)
 		return
 	}
 	close(g.quit)
@@ -176,7 +252,6 @@ func (g *Gen) Stop() {
 	// needed — sending them here would only race the quit path.
 	for range g.ch {
 	}
-	g.done = true
 	g.stats = g.asm.stats()
 }
 

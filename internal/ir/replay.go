@@ -315,8 +315,8 @@ func (a *Asm) accountPrefix(t *block, n int) {
 }
 
 // finishReplayTail settles a stream that ends mid-replay: the prefix of
-// the in-flight block is accounted from its template.  Called (once)
-// when stats are collected; idempotent.
+// the in-flight block is accounted from its template.  stats calls it
+// on a copy of the Asm; idempotent.
 func (a *Asm) finishReplayTail() {
 	if t := a.rp.tmpl; t != nil {
 		a.accountPrefix(t, a.rp.pos)

@@ -117,6 +117,27 @@ func TestHealthListsSurviveChurn(t *testing.T) {
 	}
 }
 
+// TestHealthStatWordSurvivesLongIntervals: the software jump-pointer
+// queue must not overwrite health's statistics word at any interval up
+// to core.MaxInterval.  The word is a pure function of the patients
+// visited, so every queue-based scheme must leave it as the baseline
+// does.  Before the queue moved clear of the word, intervals 17-32
+// wrote ring slots over it (at full size the corrupted queue then freed
+// an unallocated address).
+func TestHealthStatWordSurvivesLongIntervals(t *testing.T) {
+	b, _ := ByName("health")
+	img, _ := runForImage(t, b, Params{Scheme: core.SchemeNone, Size: SizeTest})
+	want := img.ReadWord(ir.GlobalBase + hgStat)
+	for _, interval := range []int{8, 16, 17, 24, core.MaxInterval} {
+		for _, scheme := range []core.Scheme{core.SchemeSoftware, core.SchemeCooperative} {
+			img, _ := runForImage(t, b, Params{Scheme: scheme, Size: SizeTest, Interval: interval})
+			if got := img.ReadWord(ir.GlobalBase + hgStat); got != want {
+				t.Errorf("%v/i%d: statistics word %#x, want %#x", scheme, interval, got, want)
+			}
+		}
+	}
+}
+
 func TestBisortPreservesTreePopulation(t *testing.T) {
 	b, _ := ByName("bisort")
 	img, alloc := runForImage(t, b, Params{Scheme: core.SchemeNone, Size: SizeTest})

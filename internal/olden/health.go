@@ -33,6 +33,20 @@ const (
 	hpID   = 4
 )
 
+// Global data: the per-village statistics word sits at hgStat.  The
+// software jump-pointer queue's ring (one word per interval step) starts
+// at offset 0 while it fits below the word, as it does up to interval
+// 16, and just past the word for longer intervals.
+const hgStat = 0x40
+
+// healthQueueOff returns the global offset of the queue's ring.
+func healthQueueOff(interval int) uint32 {
+	if 4*interval > hgStat {
+		return hgStat + 4
+	}
+	return 0
+}
+
 // Static sites for health.
 const (
 	hsBuild = ir.FirstUserSite + iota*8
@@ -141,7 +155,7 @@ func healthKernel(p Params) func(*ir.Asm) {
 		// Software jump-pointer machinery (chain/queue/full idioms).
 		var queue *core.SWJumpQueue
 		if idiom == core.IdiomChain || idiom == core.IdiomQueue || idiom == core.IdiomFull {
-			queue = core.NewSWJumpQueue(a, hsQueue, 0, p.EffectiveInterval(), hlJump)
+			queue = core.NewSWJumpQueue(a, hsQueue, healthQueueOff(p.EffectiveInterval()), p.EffectiveInterval(), hlJump)
 		}
 
 		// ---- simulation timesteps ----
@@ -231,9 +245,9 @@ func healthWalkList(a *ir.Asm, p Params, idiom core.Idiom, coop bool,
 		sev := a.Alu(hsMut+5, id.U32()&7, id, ir.Val{})
 		a.Branch(hsMut+6, sev.U32() > 4, hsMut+7, sev, t2)
 		acc := a.Alu(hsMut+7, sev.U32()+t2.U32(), sev, t2)
-		stat := a.LoadGlobal(hsWalk2, 0x40)
+		stat := a.LoadGlobal(hsWalk2, hgStat)
 		stat2 := a.Alu(hsWalk2+1, stat.U32()+acc.U32(), stat, acc)
-		a.StoreGlobal(hsWalk2+2, 0x40, stat2)
+		a.StoreGlobal(hsWalk2+2, hgStat, stat2)
 		h1 := a.Alu(hsWalk2+3, acc.U32()>>1, acc, ir.Val{})
 		h2 := a.Alu(hsWalk2+4, acc.U32()*3, acc, ir.Val{})
 		h3 := a.Alu(hsWalk2+5, h1.U32()^h2.U32(), h1, h2)

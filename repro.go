@@ -177,8 +177,9 @@ func Simulate(c Config) (Result, error) {
 	return harness.Run(c.spec())
 }
 
-// Split runs a configuration twice (realistic and perfect data memory)
-// and returns the compute/memory-stall decomposition.
+// Split simulates a configuration twice (realistic and perfect data
+// memory, both over one kernel execution) and returns the
+// compute/memory-stall decomposition.
 func Split(c Config) (Decomposition, error) {
 	return harness.Decompose(c.spec())
 }
