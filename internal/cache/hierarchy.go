@@ -184,29 +184,35 @@ const distinctLeafBits = 15
 
 type distinctLeaf [(1 << distinctLeafBits) / 64]uint64
 
-// New builds a hierarchy.
+// New builds a hierarchy.  With PerfectData, AccessData and WarmData
+// return before touching the data side, so New builds none of it: no
+// L1D, prefetch buffer, DTLB, MSHRs, in-flight table or distinct-line
+// directory.
 func New(p Params) *Hierarchy {
 	lineShift := uint(0)
 	for 1<<lineShift < p.L1D.LineBytes {
 		lineShift++
 	}
 	h := &Hierarchy{
-		p:        p,
-		l1i:      newCache(p.L1I),
-		l1d:      newCache(p.L1D),
-		l2:       newCache(p.L2),
-		itlb:     NewTLB(p.ITLBEntries, p.PageBytes, p.TLBMissCycles),
-		dtlb:     NewTLB(p.DTLBEntries, p.PageBytes, p.TLBMissCycles),
-		l1l2Bus:  NewBus(p.ChunkBytes, p.L1L2ChunkCycles),
-		memBus:   NewBus(p.ChunkBytes, p.MemChunkCycles),
-		mshr:     make([]uint64, p.MSHRs),
-		inflight: make([]uint64, inflightInitSlots),
-		// 32-bit hash >> shift indexes the table: shift = 32 - log2(slots).
-		inflightShift: 32 - uint(bits.Len(uint(inflightInitSlots-1))),
-		distinct:      make([]*distinctLeaf, 1<<(32-lineShift-distinctLeafBits)),
-		lineShift:     lineShift,
-		tr:            stats.NewTracker(),
+		p:         p,
+		l1i:       newCache(p.L1I),
+		l2:        newCache(p.L2),
+		itlb:      NewTLB(p.ITLBEntries, p.PageBytes, p.TLBMissCycles),
+		l1l2Bus:   NewBus(p.ChunkBytes, p.L1L2ChunkCycles),
+		memBus:    NewBus(p.ChunkBytes, p.MemChunkCycles),
+		lineShift: lineShift,
+		tr:        stats.NewTracker(),
 	}
+	if p.PerfectData {
+		return h
+	}
+	h.l1d = newCache(p.L1D)
+	h.dtlb = NewTLB(p.DTLBEntries, p.PageBytes, p.TLBMissCycles)
+	h.mshr = make([]uint64, p.MSHRs)
+	h.inflight = make([]uint64, inflightInitSlots)
+	// 32-bit hash >> shift indexes the table: shift = 32 - log2(slots).
+	h.inflightShift = 32 - uint(bits.Len(uint(inflightInitSlots-1)))
+	h.distinct = make([]*distinctLeaf, 1<<(32-lineShift-distinctLeafBits))
 	if p.EnablePB {
 		h.pb = newCache(p.PB)
 	}
@@ -607,6 +613,9 @@ func (h *Hierarchy) WarmInst(pc uint32) {
 // best-effort: a store to a non-resident home would otherwise fetch and
 // dirty a whole line just to plant a hint.
 func (h *Hierarchy) PresentL1(addr uint32) bool {
+	if h.p.PerfectData {
+		return false
+	}
 	if h.l1d.probe(addr) {
 		return true
 	}
@@ -619,6 +628,9 @@ func (h *Hierarchy) PresentL1(addr uint32) bool {
 // address as part of the triggering load), so their only memory-system
 // cost is the eventual writeback of the dirtied line.
 func (h *Hierarchy) DirtyL1(addr uint32) {
+	if h.p.PerfectData {
+		return
+	}
 	h.l1d.setDirty(addr)
 }
 

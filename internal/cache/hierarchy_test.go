@@ -178,18 +178,36 @@ func TestWritebackTraffic(t *testing.T) {
 	})
 }
 
+// TestPerfectDataMode: every data access is a one-cycle hit, and every
+// accessor the data side reaches is safe on a hierarchy that builds no
+// data side, even with the prefetch buffer requested.
 func TestPerfectDataMode(t *testing.T) {
 	p := Defaults()
 	p.PerfectData = true
+	p.EnablePB = true
 	h := New(p)
 	for i := 0; i < 100; i++ {
-		r := h.AccessData(uint64(i), uint32(0x9000+i*4096), KLoad)
-		if r.Done != uint64(i)+1 || r.MissL1 {
-			t.Fatalf("perfect data access %d: %+v", i, r)
+		addr := uint32(0x9000 + i*4096)
+		for _, kind := range []Kind{KLoad, KStore, KPref, KJPStore} {
+			r := h.AccessData(uint64(i), addr, kind)
+			if r != (Result{Done: uint64(i) + 1}) {
+				t.Fatalf("perfect data access %d kind %d: %+v", i, kind, r)
+			}
+		}
+		h.WarmData(addr, true)
+		h.DirtyL1(addr)
+		if h.PresentL1(addr) {
+			t.Fatalf("perfect data mode reports %#x resident", addr)
 		}
 	}
-	if h.Stats().L1L2Bytes != 0 {
-		t.Fatal("perfect data mode moved bytes")
+	if s := h.Stats(); s != (Stats{}) {
+		t.Fatalf("perfect data mode counted %+v", s)
+	}
+	if s := h.PrefetchStats(); s.Issued != 0 {
+		t.Fatalf("perfect data mode tracked %d prefetches", s.Issued)
+	}
+	if _, miss := h.AccessInst(0, 0x400000); !miss {
+		t.Fatal("the instruction side of a perfect data hierarchy missed no cold line")
 	}
 }
 

@@ -128,14 +128,7 @@ func Table1(cfg ExpConfig) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	specs := make([]Spec, len(benches))
-	for i, b := range benches {
-		specs[i] = Spec{
-			Bench:  b.Name,
-			Params: olden.Params{Scheme: core.SchemeNone, Size: cfg.Size},
-		}
-	}
-	items := DecomposeBatch(specs, cfg.Workers)
+	items := DecomposeBatch(table1Specs(benches, cfg.Size), cfg.Workers)
 	if err := firstDecompErr(items); err != nil {
 		return Report{}, err
 	}
@@ -169,6 +162,18 @@ func Table1(cfg ExpConfig) (Report, error) {
 		[]string{"bench", "mem-stall", "LDS-miss", "miss-par", "passes", "structures", "idioms"},
 		rows)
 	return Report{ID: "table1", Title: "Benchmark characterization", Text: text}, nil
+}
+
+// table1Specs is Table 1's spec set: every benchmark unoptimized.
+func table1Specs(benches []*olden.Benchmark, size olden.Size) []Spec {
+	specs := make([]Spec, len(benches))
+	for i, b := range benches {
+		specs[i] = Spec{
+			Bench:  b.Name,
+			Params: olden.Params{Scheme: core.SchemeNone, Size: size},
+		}
+	}
+	return specs
 }
 
 // --- Table 2: machine configuration ----------------------------------
@@ -224,12 +229,6 @@ var fig4Matrix = []struct {
 // than one applicable idiom, software and cooperative execution times
 // per idiom, normalized to the unoptimized run.
 func Fig4(cfg ExpConfig) (Report, error) {
-	// Declare the whole spec set up front: per benchmark, the baseline
-	// followed by every scheme/idiom variant, flattened in render order.
-	type entry struct {
-		bench  string
-		labels []string
-	}
 	covered := make([]string, len(fig4Matrix))
 	for i, ent := range fig4Matrix {
 		covered[i] = ent.Bench
@@ -237,15 +236,53 @@ func Fig4(cfg ExpConfig) (Report, error) {
 	if err := cfg.selectsAny("fig4", covered...); err != nil {
 		return Report{}, err
 	}
+	entries, specs := fig4Specs(cfg)
+	items := DecomposeBatch(specs, cfg.Workers)
+	if err := firstDecompErr(items); err != nil {
+		return Report{}, err
+	}
+	text := renderBars("Figure 4: comparing JPP idioms (normalized execution time)", barGroups(entries, items))
+	return Report{ID: "fig4", Title: "Comparing idioms", Text: text}, nil
+}
+
+// barEntry is one bar group of Figures 4 and 7: its label and the
+// labels of its bars, whose specs sit consecutively in the spec set,
+// the first being the group's normalization baseline.
+type barEntry struct {
+	group  string
+	labels []string
+}
+
+// barGroups assembles the bar groups of entries from their
+// decompositions, in spec-set order.
+func barGroups(entries []barEntry, items []DecompItem) []BarGroup {
+	var groups []BarGroup
+	next := 0
+	for _, e := range entries {
+		base := items[next].Decomp
+		g := BarGroup{Label: e.group}
+		for _, label := range e.labels {
+			g.Bars = append(g.Bars, barFromDecomp(label, items[next].Decomp, base.Total))
+			next++
+		}
+		groups = append(groups, g)
+	}
+	return groups
+}
+
+// fig4Specs is Figure 4's spec set: per selected benchmark, the
+// baseline followed by every scheme/idiom variant, flattened in render
+// order.
+func fig4Specs(cfg ExpConfig) ([]barEntry, []Spec) {
 	var (
-		entries []entry
+		entries []barEntry
 		specs   []Spec
 	)
 	for _, ent := range fig4Matrix {
 		if len(cfg.Benches) > 0 && !containsStr(cfg.Benches, ent.Bench) {
 			continue
 		}
-		e := entry{bench: ent.Bench, labels: []string{"none"}}
+		e := barEntry{group: ent.Bench, labels: []string{"none"}}
 		specs = append(specs, Spec{
 			Bench:  ent.Bench,
 			Params: olden.Params{Scheme: core.SchemeNone, Size: cfg.Size},
@@ -263,23 +300,7 @@ func Fig4(cfg ExpConfig) (Report, error) {
 		}
 		entries = append(entries, e)
 	}
-	items := DecomposeBatch(specs, cfg.Workers)
-	if err := firstDecompErr(items); err != nil {
-		return Report{}, err
-	}
-	var groups []BarGroup
-	next := 0
-	for _, e := range entries {
-		base := items[next].Decomp
-		g := BarGroup{Label: e.bench}
-		for _, label := range e.labels {
-			g.Bars = append(g.Bars, barFromDecomp(label, items[next].Decomp, base.Total))
-			next++
-		}
-		groups = append(groups, g)
-	}
-	text := renderBars("Figure 4: comparing JPP idioms (normalized execution time)", groups)
-	return Report{ID: "fig4", Title: "Comparing idioms", Text: text}, nil
+	return entries, specs
 }
 
 // --- Figure 5: comparing implementations ------------------------------
@@ -467,24 +488,32 @@ func Fig7(cfg ExpConfig) (Report, error) {
 	if err := cfg.selectsAny("fig7", "health"); err != nil {
 		return Report{}, err
 	}
-	type entry struct {
-		group  string
-		labels []string
+	entries, specs := fig7Specs(cfg.Size)
+	items := DecomposeBatch(specs, cfg.Workers)
+	if err := firstDecompErr(items); err != nil {
+		return Report{}, err
 	}
+	text := renderBars("Figure 7: health under longer memory latencies (normalized per latency)", barGroups(entries, items))
+	return Report{ID: "fig7", Title: "Tolerating longer latencies", Text: text}, nil
+}
+
+// fig7Specs is Figure 7's spec set: per latency, health unoptimized,
+// under DBP, and under each JPP implementation at intervals 8 and 16.
+func fig7Specs(size olden.Size) ([]barEntry, []Spec) {
 	var (
-		entries []entry
+		entries []barEntry
 		specs   []Spec
 	)
 	for _, lat := range []int{70, 280} {
 		memP := defaultsWithLatency(lat)
-		e := entry{group: fmt.Sprintf("lat=%d", lat), labels: []string{"none", "dbp"}}
+		e := barEntry{group: fmt.Sprintf("lat=%d", lat), labels: []string{"none", "dbp"}}
 		specs = append(specs, Spec{
 			Bench:  "health",
-			Params: olden.Params{Scheme: core.SchemeNone, Size: cfg.Size},
+			Params: olden.Params{Scheme: core.SchemeNone, Size: size},
 			Mem:    &memP,
 		}, Spec{
 			Bench:  "health",
-			Params: olden.Params{Scheme: core.SchemeDBP, Size: cfg.Size},
+			Params: olden.Params{Scheme: core.SchemeDBP, Size: size},
 			Mem:    &memP,
 		})
 		for _, scheme := range []core.Scheme{core.SchemeSoftware, core.SchemeCooperative, core.SchemeHardware} {
@@ -493,7 +522,7 @@ func Fig7(cfg ExpConfig) (Report, error) {
 				specs = append(specs, Spec{
 					Bench: "health",
 					Params: olden.Params{
-						Scheme: scheme, Size: cfg.Size, Interval: interval,
+						Scheme: scheme, Size: size, Interval: interval,
 					},
 					Mem: &memP,
 				})
@@ -501,23 +530,7 @@ func Fig7(cfg ExpConfig) (Report, error) {
 		}
 		entries = append(entries, e)
 	}
-	items := DecomposeBatch(specs, cfg.Workers)
-	if err := firstDecompErr(items); err != nil {
-		return Report{}, err
-	}
-	var groups []BarGroup
-	next := 0
-	for _, e := range entries {
-		base := items[next].Decomp
-		g := BarGroup{Label: e.group}
-		for _, label := range e.labels {
-			g.Bars = append(g.Bars, barFromDecomp(label, items[next].Decomp, base.Total))
-			next++
-		}
-		groups = append(groups, g)
-	}
-	text := renderBars("Figure 7: health under longer memory latencies (normalized per latency)", groups)
-	return Report{ID: "fig7", Title: "Tolerating longer latencies", Text: text}, nil
+	return entries, specs
 }
 
 // --- Costs table -------------------------------------------------------
@@ -527,40 +540,14 @@ func Fig7(cfg ExpConfig) (Report, error) {
 // share, the a-priori slowdown of jump-pointer creation alone, and the
 // data-footprint change in distinct cache blocks.
 func Costs(cfg ExpConfig) (Report, error) {
-	benches := []string{"health", "em3d", "treeadd", "mst"}
+	benches := costsBenches
 	if len(cfg.Benches) > 0 {
 		if _, err := cfg.benches(); err != nil {
 			return Report{}, err
 		}
 		benches = cfg.Benches
 	}
-	// Four runs per benchmark, flattened in this order.
-	const (
-		runBase = iota
-		runSW
-		runCreation
-		runCoop
-		runsPerBench
-	)
-	specs := make([]Spec, 0, len(benches)*runsPerBench)
-	for _, name := range benches {
-		specs = append(specs, Spec{
-			Bench:  name,
-			Params: olden.Params{Scheme: core.SchemeNone, Size: cfg.Size},
-		}, Spec{
-			Bench:  name,
-			Params: olden.Params{Scheme: core.SchemeSoftware, Size: cfg.Size},
-		}, Spec{
-			Bench: name,
-			Params: olden.Params{
-				Scheme: core.SchemeSoftware, Size: cfg.Size, CreationOnly: true,
-			},
-		}, Spec{
-			Bench:  name,
-			Params: olden.Params{Scheme: core.SchemeCooperative, Size: cfg.Size},
-		})
-	}
-	runs := RunBatch(specs, cfg.Workers)
+	runs := RunBatch(costsSpecs(benches, cfg.Size), cfg.Workers)
 	if err := firstErr(runs); err != nil {
 		return Report{}, err
 	}
@@ -588,6 +575,43 @@ func Costs(cfg ExpConfig) (Report, error) {
 		[]string{"bench", "sw-inst-ovh", "coop-inst-ovh", "a-priori-creation", "distinct-blocks"},
 		rows)
 	return Report{ID: "costs", Title: "JPP costs", Text: text}, nil
+}
+
+// costsBenches is the costs table's benchmark set when no filter is
+// given: the four benchmarks whose JPP costs §4.2-4.3 discusses.
+var costsBenches = []string{"health", "em3d", "treeadd", "mst"}
+
+// The costs table's runs per benchmark, in costsSpecs order.
+const (
+	runBase = iota
+	runSW
+	runCreation
+	runCoop
+	runsPerBench
+)
+
+// costsSpecs is the costs table's spec set: per benchmark, the
+// unoptimized, software, creation-only and cooperative runs.
+func costsSpecs(benches []string, size olden.Size) []Spec {
+	specs := make([]Spec, 0, len(benches)*runsPerBench)
+	for _, name := range benches {
+		specs = append(specs, Spec{
+			Bench:  name,
+			Params: olden.Params{Scheme: core.SchemeNone, Size: size},
+		}, Spec{
+			Bench:  name,
+			Params: olden.Params{Scheme: core.SchemeSoftware, Size: size},
+		}, Spec{
+			Bench: name,
+			Params: olden.Params{
+				Scheme: core.SchemeSoftware, Size: size, CreationOnly: true,
+			},
+		}, Spec{
+			Bench:  name,
+			Params: olden.Params{Scheme: core.SchemeCooperative, Size: size},
+		})
+	}
+	return specs
 }
 
 // --- Prefetcher shootout ----------------------------------------------

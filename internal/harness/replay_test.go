@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/olden"
 )
@@ -17,47 +16,48 @@ import (
 // metadata; the core's span dispatch is the same in both.  Replay is a
 // pure simulator optimisation and must never be observable in results;
 // the replay observability section is the one intentional difference,
-// so it is normalized away before comparing.
+// so it is normalized away before comparing.  The cases are the cycle
+// skip test's (equivalenceCases), health under coop at the small size
+// among them.
 func TestBlockReplayEquivalence(t *testing.T) {
 	t.Parallel()
-	for _, b := range olden.All() {
-		for _, scheme := range core.Schemes() {
-			for _, noskip := range []bool{false, true} {
-				b, scheme, noskip := b, scheme, noskip
-				name := b.Name + "/" + scheme.String()
-				if noskip {
-					name += "/noskip"
-				}
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					run := func(disableReplay bool) []byte {
-						cfg := cpu.Defaults()
-						cfg.DisableCycleSkip = noskip
-						cfg.DisableBlockReplay = disableReplay
-						res, err := Run(Spec{
-							Bench:  b.Name,
-							Params: olden.Params{Scheme: scheme, Size: olden.SizeTest},
-							CPU:    &cfg,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						// The replay section exists exactly when replay ran;
-						// every architectural field must match without it.
-						res.Stats.Replay = nil
-						buf, err := json.Marshal(res.Stats)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return buf
-					}
-					replayed, classic := run(false), run(true)
-					if string(replayed) != string(classic) {
-						t.Errorf("snapshot diverges with block replay enabled\nreplay:  %s\nclassic: %s",
-							replayed, classic)
-					}
-				})
+	for _, c := range equivalenceCases() {
+		for _, noskip := range []bool{false, true} {
+			name := c.name
+			if noskip {
+				name += "/noskip"
 			}
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				run := func(disableReplay bool) ([]byte, Result) {
+					cfg := cpu.Defaults()
+					cfg.DisableCycleSkip = noskip
+					cfg.DisableBlockReplay = disableReplay
+					res, err := Run(Spec{
+						Bench:  c.bench,
+						Params: olden.Params{Scheme: c.scheme, Size: c.size},
+						CPU:    &cfg,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					// The replay section exists exactly when replay ran;
+					// every architectural field must match without it.
+					res.Stats.Replay = nil
+					buf, err := json.Marshal(res.Stats)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return buf, res
+				}
+				replayed, res := run(false)
+				classic, _ := run(true)
+				if string(replayed) != string(classic) {
+					t.Errorf("snapshot diverges with block replay enabled\nreplay:  %s\nclassic: %s",
+						replayed, classic)
+				}
+				c.check(t, res)
+			})
 		}
 	}
 }

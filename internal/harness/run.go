@@ -38,13 +38,14 @@ type Spec struct {
 	// through the full pipeline this way, and tests use it to inject
 	// failing workloads into batches.  The function is invoked once per
 	// kernel execution and must not build state shared between
-	// concurrent runs.  A decomposition's realistic pass and the perfect
-	// pass paired with it share one execution (see DecomposeBatch).
+	// concurrent runs.  A spec with a Kernel never shares its execution
+	// with another pass (see planGroups).
 	Kernel func(*ir.Asm)
 
-	// Timeout bounds the run's wall-clock time under RunGuarded and
-	// RunBatch, and a decomposition job's (both passes together) under
-	// DecomposeBatch; zero means no deadline.  A run that exceeds it is
+	// Timeout bounds the run's wall-clock time under RunGuarded, and
+	// under RunBatch and DecomposeBatch that of the group of passes
+	// sharing its kernel execution, all of them together (see
+	// planGroups); zero means no deadline.  A run that exceeds it is
 	// abandoned (its goroutine drains in the background — set
 	// CPU.MaxCycles as a hard backstop) and its slot reports
 	// ErrDeadline.
@@ -135,7 +136,7 @@ func (spec Spec) kernel() (func(*ir.Asm), error) {
 // predictor and the attached engine, built from a spec over the
 // allocator whose image the run's kernel executes in.  It is everything
 // a run needs except its instruction stream, so one kernel execution can
-// drive several machines (see runPair).
+// drive several machines (see runGroup).
 type machine struct {
 	spec       Spec
 	engineName string // the attached engine; "" when none attaches
@@ -176,20 +177,14 @@ func newMachine(spec Spec, alloc *heap.Allocator) (*machine, error) {
 		gen:   ir.GenOptions{DisableReplay: cpuC.DisableBlockReplay},
 	}
 
-	// Resolve the prefetch engine through the registry: an explicit
-	// Spec.Engine wins, otherwise the scheme's historical default.
 	// Spec.Params.Interval is routed uniformly through the factory
 	// config, so every engine's lookahead honors a swept interval.
-	engineName := spec.Engine
-	if engineName == "" {
-		engineName = prefetch.DefaultFor(spec.Params.Scheme)
-	}
-	attach := engineName != "" && !memP.PerfectData
-	memP.EnablePB = attach
+	engineName := attachedEngine(spec)
+	memP.EnablePB = engineName != ""
 
 	m.hier = cache.New(memP)
 	m.pred = bpred.New(bpred.Defaults())
-	if attach {
+	if engineName != "" {
 		var err error
 		m.eng, err = prefetch.New(engineName, prefetch.Config{
 			DBP:      dbpC,
@@ -208,6 +203,21 @@ func newMachine(spec Spec, alloc *heap.Allocator) (*machine, error) {
 	}
 	m.core = cpu.New(cpuC, m.hier, m.pred, m.eng)
 	return m, nil
+}
+
+// attachedEngine names the registry engine spec's machine attaches: an
+// explicit Spec.Engine, otherwise the scheme's historical default
+// (prefetch.DefaultFor); "" when none attaches, as on every perfect-data
+// run.  newMachine builds from it, and planGroups keeps one such pass
+// per kernel execution.
+func attachedEngine(spec Spec) string {
+	if spec.Mem != nil && spec.Mem.PerfectData {
+		return ""
+	}
+	if spec.Engine != "" {
+		return spec.Engine
+	}
+	return prefetch.DefaultFor(spec.Params.Scheme)
 }
 
 // run simulates gen on the machine and collects the result.
@@ -349,7 +359,8 @@ func perfectSpec(spec Spec) Spec {
 
 // Decompose simulates spec twice (realistic + perfect data memory): the
 // one-spec case of DecomposeBatch, so the two passes share one kernel
-// execution, each is fault-isolated, and Full holds statistics only.  A
+// execution unless the spec is never grouped (see streamOf), each is
+// fault-isolated, and Full holds statistics only.  A
 // spec that already requests perfect data memory has no memory stall to
 // measure: it runs once and reports Total == Compute.
 func Decompose(spec Spec) (Decomposition, error) {

@@ -16,12 +16,12 @@ import (
 	"repro/internal/olden"
 )
 
-// The batch runner executes independent simulations concurrently on a
-// bounded worker pool.  Each Run builds a fresh mem.Image, heap, cache
-// hierarchy and core, so runs share no mutable state; the runner
-// exploits that to use every host core while keeping results in
-// deterministic input order.  A decomposition job shares one image and
-// heap between its two passes only, in strict handoff (runPair).
+// The batch runner executes simulations concurrently on a bounded
+// worker pool while keeping results in deterministic input order.
+// Passes that read the same instruction stream run as one job, a group
+// (planGroups): one kernel execution, memory image and heap feed one
+// machine per pass, in strict handoff (runGroup).  Groups share no
+// mutable state, so the pool can use every host core.
 // Experiment drivers declare their spec sets up front and assemble
 // reports from the ordered batch results, which makes report text
 // independent of worker count (see TestParallelSerialIdenticalReports).
@@ -31,8 +31,8 @@ import (
 // other slots are still filled.
 //
 // A batch keeps statistics, not machines: the slot's Result.Hier, Heap
-// and PrefEngine are cleared as soon as its run finishes, so an
-// experiment holds at most one job's machines per worker: one memory
+// and PrefEngine are cleared as soon as its group finishes, so an
+// experiment holds at most one group's machines per worker: one memory
 // image and heap, with one core and hierarchy per pass.  The
 // snapshot and the CPU, cache, instruction, predictor and engine
 // counters survive; they are values Run has already built.  Callers
@@ -52,7 +52,7 @@ type DecompItem struct {
 // Batch slots wrap it, so callers test with errors.Is.
 var ErrDeadline = errors.New("run deadline exceeded")
 
-// runRecover executes run (Run(spec), or one pass of a paired job),
+// runRecover executes run (Run(spec), or one pass of a group),
 // converting a panicking simulation — a kernel bug, a wedged
 // configuration tripping an internal invariant — into an ordinary error
 // so one bad configuration cannot take down a whole batch.
@@ -173,41 +173,26 @@ func slot(res Result, err error) RunItem {
 }
 
 // RunBatch executes every spec and returns the results in input order.
-// At most workers simulations run concurrently (workers <= 0 selects
-// GOMAXPROCS).  Every slot is fault-isolated through RunGuarded:
-// errors, panics and deadline overruns are captured per slot rather
-// than aborting the batch (or, for panics, the whole process).  Slots
-// hold statistics only (see RunItem).
+// Specs that read the same instruction stream share kernel executions
+// (planGroups), and at most workers executions run concurrently
+// (workers <= 0 selects GOMAXPROCS).  Every pass is fault-isolated as
+// under RunGuarded: errors, panics and deadline overruns are captured
+// per slot rather than aborting the batch (or, for panics, the whole
+// process).  Slots hold statistics only (see RunItem).
 func RunBatch(specs []Spec, workers int) []RunItem {
-	out := make([]RunItem, len(specs))
-	forEach(len(specs), workers, func(i int) {
-		out[i] = slot(RunGuarded(specs[i]))
-	})
-	return out
+	return runPlan(specs, planGroups(specs), workers)
 }
 
 // DecomposeBatch runs the compute/memory-stall decomposition of every
-// spec and returns the results in input order.  A spec's realistic pass
-// and its perfect-data pass simulate the same instruction stream, so
-// they run as one job (runPair): one kernel execution feeds both
-// machines, and a job occupies one worker.  A spec that already
-// requests perfect data memory contributes a single run (its own
-// compute pass), and specs whose perfect passes are the same
-// simulation (see perfectPassKey) share one, which rides the stream of
-// the first spec that needs it.  Items hold statistics only (see
+// spec and returns the results in input order.  Each spec contributes
+// its realistic pass and the perfect-data pass it needs (decompPasses),
+// and the passes run as RunBatch's do: those that read one instruction
+// stream share kernel executions.  Items hold statistics only (see
 // Decomposition.Full).
 func DecomposeBatch(specs []Spec, workers int) []DecompItem {
 	out := make([]DecompItem, len(specs))
-	passes, jobs, fullAt, perfectAt := decompPlan(specs)
-	runs := make([]RunItem, len(passes))
-	forEach(len(jobs), workers, func(j int) {
-		job := jobs[j]
-		if job.perfect < 0 {
-			runs[job.full] = slot(RunGuarded(passes[job.full]))
-			return
-		}
-		runs[job.full], runs[job.perfect] = runPair(passes[job.full], passes[job.perfect])
-	})
+	passes, fullAt, perfectAt := decompPasses(specs)
+	runs := runPlan(passes, planGroups(passes), workers)
 	for i := range specs {
 		full, perfect := runs[fullAt[i]], runs[perfectAt[i]]
 		if full.Err != nil {
@@ -227,25 +212,156 @@ func DecomposeBatch(specs []Spec, workers int) []DecompItem {
 	return out
 }
 
-// runPair runs a realistic pass and its perfect-data pass (perfect is
-// perfectSpec(full)) over one kernel execution: one image, heap and
-// ir.NewGenShared stream feed the two machines, in strict handoff.  The
-// results equal two RunGuarded calls.  The cores never read the image,
-// no engine attaches to the perfect pass, and the realistic pass's
-// engine sees the image at its solo batch boundaries.  Each pass is
-// fault-isolated: a failing core detaches from the stream and the other
-// pass runs on, while a kernel panic fails both.  Spec.Timeout bounds
-// the job, both passes together.
-func runPair(full, perfect Spec) (RunItem, RunItem) {
-	kernel, err := full.kernel()
+// decompPasses lays out DecomposeBatch's passes: each spec's realistic
+// pass, followed by the perfect pass it needs.  fullAt[i] and
+// perfectAt[i] are spec i's pass indices.  They coincide for a spec
+// that already requests perfect data memory, which has no stall to
+// measure.  Perfect passes that are the same simulation (one stream,
+// one Mem; no engine attaches to them, so Engine, DBP and HW cannot
+// change them) are listed once, at the first spec that needs it.
+func decompPasses(specs []Spec) (passes []Spec, fullAt, perfectAt []int) {
+	type perfectKey struct {
+		stream streamKey
+		mem    cache.Params
+	}
+	passes = make([]Spec, 0, 2*len(specs))
+	fullAt = make([]int, len(specs))
+	perfectAt = make([]int, len(specs))
+	shared := make(map[perfectKey]int)
+	for i, s := range specs {
+		fullAt[i] = len(passes)
+		passes = append(passes, s)
+		if s.Mem != nil && s.Mem.PerfectData {
+			perfectAt[i] = fullAt[i]
+			continue
+		}
+		p := perfectSpec(s)
+		stream, ok := streamOf(p)
+		key := perfectKey{stream, *p.Mem}
+		if at, seen := shared[key]; ok && seen {
+			perfectAt[i] = at
+			continue
+		}
+		perfectAt[i] = len(passes)
+		passes = append(passes, p)
+		if ok {
+			shared[key] = perfectAt[i]
+		}
+	}
+	return passes, fullAt, perfectAt
+}
+
+// streamKey identifies the instruction stream a pass's kernel emits:
+// passes with equal keys read the same stream.  Kernels read the
+// scheme only through Scheme.UsesSoftwareIdiom and the cooperative
+// test, so none, dbp and hw emit one stream, and Mem, DBP, HW and
+// Engine shape only the timing side.  The interval stays in the key,
+// resolved (0 selects core.DefaultInterval), because a workload may use
+// it structurally: quicklist's skip distance.  The timeout stays
+// because a group runs under one deadline.
+// TestPerfectPassIgnoresHardwareScheme pins the scheme and interval
+// rules over every registered workload.
+type streamKey struct {
+	bench   string
+	params  olden.Params
+	timeout time.Duration
+}
+
+// streamOf returns the stream key of pass p, or false when p must run
+// alone: a custom Kernel, a CPU override (a tracer, an injected fault,
+// an emission mode) or a sampled run is never grouped.
+func streamOf(p Spec) (streamKey, bool) {
+	if p.Kernel != nil || p.CPU != nil || p.Sampling != nil {
+		return streamKey{}, false
+	}
+	k := streamKey{bench: p.Bench, params: p.Params, timeout: p.Timeout}
+	if !k.params.Scheme.UsesSoftwareIdiom() {
+		k.params.Scheme = core.SchemeNone
+	}
+	if k.params.Interval == 0 {
+		k.params.Interval = core.DefaultInterval
+	}
+	return k, true
+}
+
+// planGroups partitions passes into kernel executions: each group lists
+// pass indices, in input order, that read one stream (streamOf), and
+// runs as one job of the worker pool (runGroup).  A group holds at most
+// one pass with an engine attached (attachedEngine).  An engine reads
+// the image, and the hardware engine writes jump pointers into its
+// padding, so with one engine per image each engine sees the image of
+// its solo run.  Cores never read the image, so every engine-less pass
+// rides the stream's first group; each further engine pass opens a
+// group of its own.
+func planGroups(passes []Spec) [][]int {
+	var (
+		groups  [][]int
+		engined []bool // whether groups[g] holds an engine pass
+	)
+	first := make(map[streamKey]int)
+	for i, p := range passes {
+		key, ok := streamOf(p)
+		engine := attachedEngine(p) != ""
+		if ok {
+			if g, seen := first[key]; !seen {
+				first[key] = len(groups)
+			} else if !engine || !engined[g] {
+				groups[g] = append(groups[g], i)
+				engined[g] = engined[g] || engine
+				continue
+			}
+		}
+		groups = append(groups, []int{i})
+		engined = append(engined, engine)
+	}
+	return groups
+}
+
+// runPlan runs the groups of passes on at most workers goroutines and
+// returns every pass's slot in pass order.
+func runPlan(passes []Spec, groups [][]int, workers int) []RunItem {
+	out := make([]RunItem, len(passes))
+	forEach(len(groups), workers, func(g int) {
+		group := make([]Spec, len(groups[g]))
+		for i, p := range groups[g] {
+			group[i] = passes[p]
+		}
+		for i, it := range runGroup(group) {
+			out[groups[g][i]] = slot(it.Result, it.Err)
+		}
+	})
+	return out
+}
+
+// runGroup runs passes that read one instruction stream over one kernel
+// execution: one image, heap and ir.NewGenShared stream feed one
+// machine per pass, in strict handoff, so the kernel emits the next
+// batch only after every pass has drained the last.  The results, which
+// keep their machines, equal one RunGuarded per pass provided at most
+// one pass attaches an engine (see planGroups).  Each pass is
+// fault-isolated: a failing core detaches from the stream and the
+// others run on, while a kernel panic fails every pass.  The first
+// pass's Timeout bounds the group, all passes together.  A group of one
+// is RunGuarded.
+func runGroup(passes []Spec) []RunItem {
+	out := make([]RunItem, len(passes))
+	lead := passes[0]
+	if len(passes) == 1 {
+		out[0].Result, out[0].Err = RunGuarded(lead)
+		return out
+	}
+	kernel, err := lead.kernel()
 	if err != nil {
-		return RunItem{Err: err}, RunItem{Err: err}
+		for i := range out {
+			out[i].Err = err
+		}
+		return out
 	}
 	alloc := heap.New(mem.NewImage())
-	var machines [2]*machine
-	_, err = runRecover(full, func() (Result, error) {
+	machines := make([]*machine, len(passes))
+	_, err = runRecover(lead, func() (Result, error) {
 		var err error
-		for i, s := range []Spec{full, perfect} {
+		for i, s := range passes {
 			if machines[i], err = newMachine(s, alloc); err != nil {
 				break
 			}
@@ -253,18 +369,21 @@ func runPair(full, perfect Spec) (RunItem, RunItem) {
 		return Result{}, err
 	})
 	if err != nil {
-		// The perfect pass may serve other specs (perfectPassKey):
-		// let each pass succeed or fail on its own.
-		return slot(RunGuarded(full)), slot(RunGuarded(perfect))
+		// A pass whose machine cannot be built (an unknown engine,
+		// say) must not fail the others: each runs on its own.
+		for i, s := range passes {
+			out[i].Result, out[i].Err = RunGuarded(s)
+		}
+		return out
 	}
-	gens := ir.NewGenShared(alloc, kernel, machines[0].gen, 2)
+	gens := ir.NewGenShared(alloc, kernel, machines[0].gen, len(passes))
 	var deadline chan time.Time
-	if full.Timeout > 0 {
+	if lead.Timeout > 0 {
 		deadline = make(chan time.Time)
-		timer := time.AfterFunc(full.Timeout, func() { close(deadline) })
+		timer := time.AfterFunc(lead.Timeout, func() { close(deadline) })
 		defer timer.Stop()
 	}
-	var outcomes [2]<-chan outcome
+	outcomes := make([]<-chan outcome, len(passes))
 	for i, m := range machines {
 		gen := gens[i]
 		outcomes[i] = startGuarded(m.spec, func() (Result, error) {
@@ -274,80 +393,10 @@ func runPair(full, perfect Spec) (RunItem, RunItem) {
 			return m.run(gen), nil
 		})
 	}
-	return slot(awaitRun(full, outcomes[0], deadline)), slot(awaitRun(perfect, outcomes[1], deadline))
-}
-
-// decompJob is one unit of DecomposeBatch's worker pool: the pass list
-// index of a realistic (or already perfect) pass, and of the perfect
-// pass that rides its stream, or -1 when it runs alone.
-type decompJob struct{ full, perfect int }
-
-// decompPlan lays out DecomposeBatch's passes and groups them into
-// jobs.  fullAt[i] and perfectAt[i] are the pass indices of spec i's
-// realistic and perfect passes; they coincide for a perfect spec, and
-// specs with the same perfectPassKey share one perfect pass, paired
-// with the first of them.
-func decompPlan(specs []Spec) (passes []Spec, jobs []decompJob, fullAt, perfectAt []int) {
-	passes = make([]Spec, 0, 2*len(specs))
-	fullAt = make([]int, len(specs))
-	perfectAt = make([]int, len(specs))
-	shared := make(map[perfectKey]int)
-	for i, s := range specs {
-		job := decompJob{full: len(passes), perfect: -1}
-		fullAt[i] = job.full
-		passes = append(passes, s)
-		if s.Mem != nil && s.Mem.PerfectData {
-			perfectAt[i] = job.full
-			jobs = append(jobs, job)
-			continue
-		}
-		p := perfectSpec(s)
-		key, ok := perfectPassKey(p)
-		if at, seen := shared[key]; ok && seen {
-			perfectAt[i] = at
-		} else {
-			job.perfect = len(passes)
-			perfectAt[i] = job.perfect
-			passes = append(passes, p)
-			if ok {
-				shared[key] = job.perfect
-			}
-		}
-		jobs = append(jobs, job)
+	for i, s := range passes {
+		out[i].Result, out[i].Err = awaitRun(s, outcomes[i], deadline)
 	}
-	return passes, jobs, fullAt, perfectAt
-}
-
-// perfectKey identifies a perfect-data-memory pass up to the fields
-// that cannot change it.
-type perfectKey struct {
-	bench   string
-	params  olden.Params
-	mem     cache.Params
-	timeout time.Duration
-}
-
-// perfectPassKey returns the sharing key of the perfect pass p, or
-// false when p must run on its own.  No engine attaches to a
-// perfect-data run, so Engine, DBP and HW cannot affect it, and kernels
-// read the scheme only through Scheme.UsesSoftwareIdiom and the
-// cooperative test.  So under none, dbp and hw the compute pass is one
-// simulation whatever the scheme or engine.  The interval stays in the
-// key, resolved (0 selects core.DefaultInterval), because a workload
-// may use it structurally: quicklist's skip distance.
-// TestPerfectPassIgnoresHardwareScheme pins both rules over every
-// registered workload.  A custom Kernel, a CPU override (a tracer, an
-// injected fault) or a sampled run is never shared.
-func perfectPassKey(p Spec) (perfectKey, bool) {
-	if p.Kernel != nil || p.CPU != nil || p.Sampling != nil || p.Params.Scheme.UsesSoftwareIdiom() {
-		return perfectKey{}, false
-	}
-	k := perfectKey{bench: p.Bench, params: p.Params, mem: *p.Mem, timeout: p.Timeout}
-	k.params.Scheme = core.SchemeNone
-	if k.params.Interval <= 0 {
-		k.params.Interval = core.DefaultInterval
-	}
-	return k, true
+	return out
 }
 
 // firstErr returns the first captured error of a batch, preserving the

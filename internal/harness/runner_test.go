@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/dbp"
 	"repro/internal/ir"
 	"repro/internal/olden"
 )
@@ -184,8 +185,8 @@ func TestBatchItemsHoldStatistics(t *testing.T) {
 	}
 }
 
-// TestPerfectPassIgnoresHardwareScheme pins the rules perfect-pass
-// sharing relies on (perfectPassKey): with perfect data memory, every
+// TestPerfectPassIgnoresHardwareScheme pins the rules stream groups and
+// perfect-pass sharing rely on (streamKey): with perfect data memory, every
 // registered workload simulates identically under none, dbp and hw at
 // a given jump-pointer interval, and interval 0 is the default
 // interval.  Other intervals may differ (quicklist's skip distance is
@@ -228,44 +229,130 @@ func TestPerfectPassIgnoresHardwareScheme(t *testing.T) {
 	}
 }
 
-// TestDecompPlanSharesFig5PerfectPasses: Figure 5's spec set for one
-// benchmark flattens to its 5 realistic runs and 3 perfect passes —
-// none, dbp and hw share one, sw and coop each need their own — and
-// those 8 timing runs come from 5 kernel executions: each perfect pass
-// rides the stream of the first realistic run that needs it.
-func TestDecompPlanSharesFig5PerfectPasses(t *testing.T) {
-	for _, b := range olden.Suite() {
-		specs := schemeSweep([]*olden.Benchmark{b}, olden.SizeFull)
-		passes, jobs, fullAt, perfectAt := decompPlan(specs)
-		var realistic, perfect int
-		for _, s := range passes {
-			if s.Mem != nil && s.Mem.PerfectData {
-				perfect++
-			} else {
-				realistic++
-			}
+// TestStreamPlanCensus pins the kernel executions each artifact runs
+// at full size, and the grouping rules behind them: every group reads
+// one stream, holds at most one engine pass, and lists its passes in
+// input order.  Figure 5 runs {none, dbp, perfect} and {hw} per
+// benchmark besides its sw and coop groups, and Figure 7 shares each
+// stream across both latencies.
+func TestStreamPlanCensus(t *testing.T) {
+	want := map[string]int{"table1": 10, "fig4": 22, "fig5": 40, "fig6": 40, "fig7": 12, "costs": 16}
+	total := 0
+	for _, set := range artifactSets(olden.SizeFull) {
+		groups := planGroups(set.passes)
+		if len(groups) != want[set.id] {
+			t.Errorf("%s: %d passes in %d kernel executions, want %d",
+				set.id, len(set.passes), len(groups), want[set.id])
 		}
-		if realistic != 5 || perfect != 3 || len(jobs) != 5 {
-			t.Fatalf("%s: %d realistic and %d perfect runs in %d jobs, want 5 and 3 in 5",
-				b.Name, realistic, perfect, len(jobs))
-		}
-		for i, s := range specs {
-			if passes[fullAt[i]].Params.Scheme != s.Params.Scheme || !passes[perfectAt[i]].Mem.PerfectData {
-				t.Errorf("%s slot %d (%v): pass indices %d/%d misaligned", b.Name, i, s.Params.Scheme, fullAt[i], perfectAt[i])
+		total += len(groups)
+		seen := 0
+		for _, g := range groups {
+			key, _ := streamOf(set.passes[g[0]])
+			engines := 0
+			for j, p := range g {
+				if k, ok := streamOf(set.passes[p]); len(g) > 1 && (!ok || k != key) {
+					t.Errorf("%s: group %v mixes streams", set.id, g)
+				}
+				if attachedEngine(set.passes[p]) != "" {
+					engines++
+				}
+				if j > 0 && p <= g[j-1] {
+					t.Errorf("%s: group %v out of input order", set.id, g)
+				}
 			}
-		}
-		paired := 0
-		for _, j := range jobs {
-			if j.perfect < 0 {
-				continue
+			if engines > 1 {
+				t.Errorf("%s: group %v holds %d engine passes", set.id, g, engines)
 			}
-			paired++
-			if !reflect.DeepEqual(passes[j.perfect], perfectSpec(passes[j.full])) {
-				t.Errorf("%s: job %+v pairs a perfect pass that is not its realistic pass's", b.Name, j)
-			}
+			seen += len(g)
 		}
-		if paired != 3 {
-			t.Errorf("%s: %d jobs carry a perfect pass, want 3", b.Name, paired)
+		if seen != len(set.passes) {
+			t.Errorf("%s: groups hold %d passes of %d", set.id, seen, len(set.passes))
+		}
+	}
+	if total != 140 {
+		t.Errorf("the six artifacts run %d kernel executions, want 140", total)
+	}
+}
+
+// TestStreamKeyRules pins what puts two passes on one stream: the
+// interval resolved and a non-software scheme read as none, while Mem,
+// DBP, HW and Engine are ignored; a different timeout, idiom or size,
+// or any Kernel, CPU or Sampling override, keeps passes apart.
+func TestStreamKeyRules(t *testing.T) {
+	base := testSpec("health", core.SchemeNone)
+	lat := defaultsWithLatency(280)
+	cc := cpu.Defaults()
+	for _, c := range []struct {
+		name   string
+		edit   func(*Spec)
+		shared bool
+	}{
+		{"interval 0 is the default", func(s *Spec) { s.Params.Interval = core.DefaultInterval }, true},
+		{"hw reads as none", func(s *Spec) { s.Params.Scheme = core.SchemeHardware }, true},
+		{"Mem is ignored", func(s *Spec) { s.Mem = &lat }, true},
+		{"perfect data is ignored", func(s *Spec) { *s = perfectSpec(*s) }, true},
+		{"Engine is ignored", func(s *Spec) { s.Engine = "stride" }, true},
+		{"DBP and HW are ignored", func(s *Spec) { s.DBP, s.HW = &dbp.Config{}, &core.HWConfig{} }, true},
+		{"another interval", func(s *Spec) { s.Params.Interval = 16 }, false},
+		{"a software scheme", func(s *Spec) { s.Params.Scheme = core.SchemeSoftware }, false},
+		{"another idiom", func(s *Spec) { s.Params.Idiom = core.IdiomRoot }, false},
+		{"another size", func(s *Spec) { s.Params.Size = olden.SizeSmall }, false},
+		{"a timeout", func(s *Spec) { s.Timeout = time.Minute }, false},
+		{"a Kernel override", func(s *Spec) { s.Kernel = panicSpec().Kernel }, false},
+		{"a CPU override", func(s *Spec) { s.CPU = &cc }, false},
+		{"sampling", func(s *Spec) { s.Sampling = &cpu.SamplingConfig{} }, false},
+	} {
+		other := base
+		c.edit(&other)
+		groups := planGroups([]Spec{base, other})
+		if shared := len(groups) == 1; shared != c.shared {
+			t.Errorf("%s: groups %v, want shared=%v", c.name, groups, c.shared)
+		}
+	}
+	// An override is never grouped, not even with its own copy.
+	cpuSpec := base
+	cpuSpec.CPU = &cc
+	if groups := planGroups([]Spec{cpuSpec, cpuSpec, perfectSpec(cpuSpec)}); len(groups) != 3 {
+		t.Errorf("CPU override: groups %v, want every pass alone", groups)
+	}
+	// A second engine pass opens a group of its own; engine-less passes
+	// ride the first group wherever they come.
+	hw := testSpec("health", core.SchemeHardware)
+	dbpSpec := testSpec("health", core.SchemeDBP)
+	got := planGroups([]Spec{hw, base, dbpSpec, perfectSpec(dbpSpec), testSpec("health", core.SchemeNone)})
+	if want := [][]int{{0, 1, 3, 4}, {2}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("engine passes: groups %v, want %v", got, want)
+	}
+}
+
+// TestDecompPassesShareIdenticalPerfectPasses: decompPasses lists a
+// perfect pass once per stream and memory system, aligned with every
+// spec that needs it, and a spec already requesting perfect data is its
+// own compute pass.
+func TestDecompPassesShareIdenticalPerfectPasses(t *testing.T) {
+	lat := defaultsWithLatency(280)
+	slow := testSpec("health", core.SchemeDBP)
+	slow.Mem = &lat
+	specs := []Spec{
+		testSpec("health", core.SchemeNone),
+		testSpec("health", core.SchemeHardware),
+		slow,
+		testSpec("health", core.SchemeSoftware),
+		perfectSpec(testSpec("mst", core.SchemeNone)),
+	}
+	passes, fullAt, perfectAt := decompPasses(specs)
+	if want := []int{0, 2, 3, 5, 7}; !reflect.DeepEqual(fullAt, want) {
+		t.Errorf("fullAt %v, want %v", fullAt, want)
+	}
+	if want := []int{1, 1, 4, 6, 7}; !reflect.DeepEqual(perfectAt, want) {
+		t.Errorf("perfectAt %v, want %v", perfectAt, want)
+	}
+	for i, s := range specs {
+		if !reflect.DeepEqual(passes[fullAt[i]], s) {
+			t.Errorf("spec %d: realistic pass %+v", i, passes[fullAt[i]])
+		}
+		if p := passes[perfectAt[i]]; !p.Mem.PerfectData || p.Bench != s.Bench {
+			t.Errorf("spec %d: perfect pass %+v", i, p)
 		}
 	}
 }
@@ -449,10 +536,9 @@ func TestRunCustomKernel(t *testing.T) {
 // TestParallelSerialIdenticalReports is the determinism contract of the
 // batch runner: every experiment driver must produce byte-identical
 // report text whether its simulations run serially, on two workers or
-// on every host core.  Each Run builds a fresh mem.Image and
-// cache.Hierarchy, and a paired decomposition job shares its image only
-// between its own two passes, so any divergence here is a shared-state
-// bug.
+// on every host core.  Each group of passes builds a fresh mem.Image
+// and shares it only among its own passes, so any divergence here is a
+// shared-state bug.
 func TestParallelSerialIdenticalReports(t *testing.T) {
 	workerCounts := []int{2}
 	if p := runtime.GOMAXPROCS(0); p > 2 {

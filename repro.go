@@ -178,8 +178,8 @@ func Simulate(c Config) (Result, error) {
 }
 
 // Split simulates a configuration twice (realistic and perfect data
-// memory, both over one kernel execution) and returns the
-// compute/memory-stall decomposition.
+// memory, both over one kernel execution unless Core or Sampling is
+// set) and returns the compute/memory-stall decomposition.
 func Split(c Config) (Decomposition, error) {
 	return harness.Decompose(c.spec())
 }
